@@ -67,7 +67,6 @@ from .oracles import (
     moment_operator,
     otoc,
     participation_entropy,
-    pauli_average_otoc,
     pauli_moment,
     renyi_stabilizer_entropy,
     stabilizer_fidelity,

@@ -3,7 +3,8 @@
 Subcommands: exact, estimate, gradient, bounds, experiment, budget.
 Exit codes: 0 success, 2 parse error, 3 semantic/guard error, 4 I/O error.
 The --seed option (default: MAGIC_METER_SEED env var, then 0) makes every
-command bit-reproducible.
+command bit-reproducible; for `experiment` the config's `seed` ranks between
+--seed and the env var.
 """
 from __future__ import annotations
 
@@ -180,6 +181,8 @@ def _cmd_experiment(args) -> int:
         raise SemanticError(str(exc)) from exc
     if args.seed is not None:
         config.seed = args.seed
+    elif config.seed is None:
+        config.seed = _default_seed()
     if args.threads is not None:
         config.threads = args.threads
     rows = run_preset(config)
@@ -305,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
+    # an experiment config's own seed ranks between --seed and the env var
+    if getattr(args, "seed", None) is None and args.fn is not _cmd_experiment:
         args.seed = _default_seed()
     try:
         return args.fn(args)

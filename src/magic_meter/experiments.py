@@ -5,13 +5,23 @@ phase, or noise strength), averages over random instances with per-instance
 RNG streams derived from (seed, sweep index, instance index), and emits
 RecordRow tables: mean and sample standard deviation per quantity, plus the
 separate shot standard error for estimated quantities.
+
+All presets share one skeleton.  run_preset fills in the preset's default
+qubit count, grid and instance count for fields left as None and rejects
+non-positive sizes.  A preset's instance function ``one(i)`` returns
+``(values, tail)``: ``values[sweep, quantity]`` for every grid point and the
+per-instance analytic ``tail[quantity]``, which belongs to no grid point.
+_instances stacks them over instances into ``values[instance, sweep,
+quantity]``, and _rows turns such an array into rows, mean and ddof=1 std
+over instances with NaN entries skipped.
 """
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +30,7 @@ from .circuits import (
     circuit_unitary,
     clifford_proxy_depth,
     doped_clifford_state,
+    doped_layered_circuit,
     doped_layered_gate_layers,
     random_rotation_gate_layers,
 )
@@ -30,6 +41,7 @@ from .oracles import (
     bell_magic,
     bounds_from_moment,
     clifford_average_flatness,
+    clifford_average_otoc,
     flatness,
     otoc,
     pauli_moment,
@@ -41,18 +53,6 @@ from .paulis import pauli_from_string
 from .states import choi_state, haar_random_state, zero_state
 
 CSV_HEADER = "sweep,quantity,mean,std,instances,kind"
-
-PRESETS = (
-    "doped_clifford_sweep",
-    "scrambling_depth_sweep",
-    "gue_time_sweep",
-    "random_pauli_sweep",
-    "ising_sweep",
-    "random_circuit_depth",
-    "monotone_relation_sweep",
-    "noise_mitigation_study",
-)
-
 
 @dataclass(frozen=True)
 class RecordRow:
@@ -78,7 +78,7 @@ class ExperimentConfig:
     instances: int | None = None
     shots: int = 1000
     moment_indices: tuple[int, ...] = (2, 3)
-    seed: int = 0
+    seed: int | None = 0  # None: unset; the CLI then reads MAGIC_METER_SEED, run_preset uses 0
     threads: int = 0  # 0 = one worker per available core
     output: str | None = None
     params: dict = field(default_factory=dict)
@@ -170,7 +170,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         instances=doc.get("instances"),
         shots=int(doc.get("shots", 1000)),
         moment_indices=tuple(int(m) for m in as_tuple(moments)),
-        seed=int(doc.get("seed", 0)),
+        seed=None if doc.get("seed") is None else int(doc["seed"]),
         threads=int(doc.get("threads", 0)),
         output=doc.get("output"),
         params=params,
@@ -192,27 +192,48 @@ def _instance_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed)] + [int(k) for k in key])
 
 
-def _map_indexed(fn, count: int, threads: int) -> list:
-    workers = (os.cpu_count() or 1) if threads <= 0 else threads
-    if workers == 1 or count == 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+# -- the preset skeleton -------------------------------------------------------
 
-
-def _aggregate(sweep: float, per_instance: list[dict], kinds: dict) -> list[RecordRow]:
-    """Mean and sample std over instance dicts, one row per quantity."""
+def _rows(sweeps, names, values: np.ndarray, kind) -> list[RecordRow]:
+    """One row per (sweep point, quantity) of values[instance, sweep, quantity]:
+    mean and sample std over the instances, NaN entries skipped; a quantity
+    with no entry left gets no row.  ``kind`` is one kind for every quantity
+    or a sequence with one kind per name."""
+    kinds = [kind] * len(names) if isinstance(kind, str) else kind
     rows = []
-    for name in per_instance[0]:
-        values = np.array([d[name] for d in per_instance], dtype=float)
-        values = values[~np.isnan(values)]
-        if values.size == 0:
-            continue
-        std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
-        rows.append(
-            RecordRow(sweep, name, float(np.mean(values)), std, int(values.size), kinds.get(name, "exact"))
-        )
+    for si, sweep in enumerate(sweeps):
+        for qi, (name, k) in enumerate(zip(names, kinds)):
+            column = values[:, si, qi]
+            column = column[~np.isnan(column)]
+            if column.size == 0:
+                continue
+            std = float(np.std(column, ddof=1)) if column.size > 1 else 0.0
+            rows.append(RecordRow(float(sweep), name, float(np.mean(column)), std, int(column.size), k))
     return rows
+
+
+def _instances(config: ExperimentConfig, one) -> tuple[np.ndarray, np.ndarray]:
+    """Run the instance function for every instance on the worker pool and
+    stack what it returns into values[instance, sweep, quantity] and
+    tail[instance, quantity]."""
+    workers = (os.cpu_count() or 1) if config.threads <= 0 else config.threads
+    if workers == 1 or config.instances == 1:
+        results = [one(i) for i in range(config.instances)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, range(config.instances)))
+    return (
+        np.array([values for values, _ in results], dtype=float),
+        np.array([tail for _, tail in results], dtype=float),
+    )
+
+
+def _sweep_rows(config: ExperimentConfig, one, names, tail_names) -> list[RecordRow]:
+    """Exact rows of every grid point, then the analytic tail at sweep NaN."""
+    values, tail = _instances(config, one)
+    return _rows(config.grid, names, values, "exact") + _rows(
+        (float("nan"),), tail_names, tail[:, None], "analytic"
+    )
 
 
 def haar_reference(n_qubits: int, n: int, samples: int, rng) -> dict[str, float]:
@@ -239,75 +260,78 @@ def _estimate_moment(psi, n, shots, rng):
     return estimate_moment_conjugate(psi, n, shots, rng)
 
 
+def _edge_paulis(n_qubits: int):
+    """X on the first qubit and Z on the last, the OTOC probe pair."""
+    return (
+        pauli_from_string("X" + "I" * (n_qubits - 1)),
+        pauli_from_string("I" * (n_qubits - 1) + "Z"),
+    )
+
+
 # -- presets -------------------------------------------------------------------
 
-def _spot_check_estimates(per_point: list[tuple[float, list[dict]]], moment_indices, seed: int) -> None:
+# Quantities of the doped sweep for each moment index n, in the order
+# _doped_point returns them; those named *_est* are estimated, the rest exact.
+_DOPED_QUANTITIES = (
+    "A{n}_exact", "T{n}_exact", "M{n}_exact",
+    "A{n}_est", "A{n}_est_shot_se", "T{n}_est", "T{n}_est_shot_se",
+    "fstab_upper_n{n}", "fstab_lower_n{n}", "xi_lower_n{n}", "robustness_lower_n{n}",
+    "fstab_upper_n{n}_est", "fstab_lower_n{n}_est",
+)
+
+
+def _doped_point(psi, n: int, shots: int, rng) -> list[float]:
+    moment = pauli_moment(psi, n)
+    exact = [moment, tsallis_stabilizer_entropy(psi, n), renyi_stabilizer_entropy(psi, n)]
+    est = _estimate_moment(psi, n, shots, rng)
+    estimated = [est.value, est.std_error, (est.value - 1.0) / (1 - n), est.std_error / abs(1 - n)]
+    bounds = bounds_from_moment(moment, n, clamp=False)
+    est_bounds = bounds_from_moment(est.value, n)
+    return exact + estimated + [
+        bounds.fstab_upper, bounds.fstab_lower, bounds.xi_lower, bounds.robustness_lower,
+        est_bounds.fstab_upper, est_bounds.fstab_lower,
+    ]
+
+
+def _spot_check_estimates(grid, names, values: np.ndarray, moment_indices, seed: int) -> None:
     """Sanity net run on every sweep: at up to five random sweep points the
     estimated moment must sit within three pooled shot errors of the oracle."""
     rng = np.random.default_rng([seed, 424242])
-    picks = rng.choice(len(per_point), size=min(5, len(per_point)), replace=False)
+    picks = rng.choice(len(grid), size=min(5, len(grid)), replace=False)
     for idx in picks:
-        sweep, insts = per_point[idx]
         for n in moment_indices:
-            exact = np.mean([d[f"A{n}_exact"] for d in insts])
-            est = np.mean([d[f"A{n}_est"] for d in insts])
-            pooled = np.sqrt(np.sum([d[f"A{n}_est_shot_se"] ** 2 for d in insts])) / len(insts)
+            exact, est, se = (
+                values[:, idx, names.index(f"A{n}{suffix}")] for suffix in ("_exact", "_est", "_est_shot_se")
+            )
+            exact, est = np.mean(exact), np.mean(est)
+            pooled = np.sqrt(np.sum(se**2)) / len(se)
             if abs(est - exact) > 3 * pooled + 1e-9:
                 raise RuntimeError(
-                    f"estimator drifted from the oracle at sweep={sweep}, n={n}: "
+                    f"estimator drifted from the oracle at sweep={float(grid[idx])}, n={n}: "
                     f"{est:.6f} vs {exact:.6f} (pooled se {pooled:.2e})"
                 )
 
 
 def _preset_doped_clifford(config: ExperimentConfig) -> list[RecordRow]:
-    nq = config.n_qubits or 3
-    grid = config.grid or tuple(range(7))
-    instances = config.instances or 6
+    nq, grid = config.n_qubits, config.grid
     depth = config.params.get("clifford_depth", clifford_proxy_depth(nq))
-    kinds: dict[str, str] = {}
-    rows: list[RecordRow] = []
-    per_point: list[tuple[float, list[dict]]] = []
-    for si, n_t in enumerate(grid):
-        def one(i, n_t=int(n_t), si=si):
-            rng = _instance_rng(config.seed, si, i)
-            psi = doped_clifford_state(nq, n_t, rng, clifford_depth=depth)
-            out: dict[str, float] = {}
-            for n in config.moment_indices:
-                moment = pauli_moment(psi, n)
-                out[f"A{n}_exact"] = moment
-                out[f"T{n}_exact"] = tsallis_stabilizer_entropy(psi, n)
-                out[f"M{n}_exact"] = renyi_stabilizer_entropy(psi, n)
-                est = _estimate_moment(psi, n, config.shots, rng)
-                out[f"A{n}_est"] = est.value
-                out[f"A{n}_est_shot_se"] = est.std_error
-                out[f"T{n}_est"] = (est.value - 1.0) / (1 - n)
-                out[f"T{n}_est_shot_se"] = est.std_error / abs(1 - n)
-                bounds = bounds_from_moment(moment, n, clamp=False)
-                out[f"fstab_upper_n{n}"] = bounds.fstab_upper
-                out[f"fstab_lower_n{n}"] = bounds.fstab_lower
-                out[f"xi_lower_n{n}"] = bounds.xi_lower
-                out[f"robustness_lower_n{n}"] = bounds.robustness_lower
-                est_bounds = bounds_from_moment(est.value, n)
-                out[f"fstab_upper_n{n}_est"] = est_bounds.fstab_upper
-                out[f"fstab_lower_n{n}_est"] = est_bounds.fstab_lower
-                kinds.update(
-                    {
-                        f"A{n}_est": "estimated",
-                        f"A{n}_est_shot_se": "estimated",
-                        f"T{n}_est": "estimated",
-                        f"T{n}_est_shot_se": "estimated",
-                        f"fstab_upper_n{n}_est": "estimated",
-                        f"fstab_lower_n{n}_est": "estimated",
-                    }
-                )
-            if nq <= 3:
-                out["fstab_exact"] = stabilizer_fidelity(psi)
-            return out
+    names = [q.format(n=n) for n in config.moment_indices for q in _DOPED_QUANTITIES]
+    names += ["fstab_exact"] if nq <= 3 else []
 
-        per_instance = _map_indexed(one, instances, config.threads)
-        per_point.append((float(n_t), per_instance))
-        rows += _aggregate(float(n_t), per_instance, kinds)
-    _spot_check_estimates(per_point, config.moment_indices, config.seed)
+    def one(i):
+        values = []
+        for si, n_t in enumerate(grid):
+            rng = _instance_rng(config.seed, si, i)
+            psi = doped_clifford_state(nq, int(n_t), rng, clifford_depth=depth)
+            point = [v for n in config.moment_indices for v in _doped_point(psi, n, config.shots, rng)]
+            if nq <= 3:
+                point.append(stabilizer_fidelity(psi))
+            values.append(point)
+        return values, []
+
+    values, _ = _instances(config, one)
+    _spot_check_estimates(grid, names, values, config.moment_indices, config.seed)
+    rows = _rows(grid, names, values, ["estimated" if "_est" in q else "exact" for q in names])
     haar_samples = int(config.params.get("haar_samples", 2000))
     for n in config.moment_indices:
         ref = haar_reference(nq, n, haar_samples, _instance_rng(config.seed, 10_000 + n))
@@ -328,115 +352,62 @@ def _prefix_unitaries(layers: list, n_qubits: int) -> list[np.ndarray]:
 
 
 def _preset_scrambling_depth(config: ExperimentConfig) -> list[RecordRow]:
-    nq = config.n_qubits or 4
-    grid = config.grid or tuple(range(1, 41))
+    nq, grid = config.n_qubits, config.grid
     depth_max = int(max(grid))
-    instances = config.instances or 100
     tgate_counts = tuple(int(t) for t in _as_tuple(config.params.get("tgates", (0, 4, 16))))
-    x1 = pauli_from_string("X" + "I" * (nq - 1))
-    zn = pauli_from_string("I" * (nq - 1) + "Z")
-    kinds = {}
+    x1, zn = _edge_paulis(nq)
+    psi0 = zero_state(nq)
     rows: list[RecordRow] = []
     for ti, n_t in enumerate(tgate_counts):
         def one(i, n_t=n_t, ti=ti):
-            rng = _instance_rng(config.seed, ti, i)
-            layers = doped_layered_gate_layers(nq, depth_max, n_t, rng)
+            layers = doped_layered_gate_layers(nq, depth_max, n_t, _instance_rng(config.seed, ti, i))
             prefixes = _prefix_unitaries(layers, nq)
-            out: dict[str, float] = {}
-            for d in grid:
-                u = prefixes[int(d) - 1]
-                out[f"otoc8_x1x1_NT{n_t}@{int(d)}"] = otoc(u, x1, x1, 2)
-                out[f"otoc8_x1zN_NT{n_t}@{int(d)}"] = otoc(u, x1, zn, 2)
-                out[f"flatness_NT{n_t}@{int(d)}"] = flatness(u @ zero_state(nq))
-            u_final = prefixes[-1]
-            moment = pauli_moment(choi_state(u_final), 2)
-            d4 = 4**nq
-            out[f"cliff_avg_otoc8_NT{n_t}"] = (moment * d4 - 1.0) / (d4 - 1.0) ** 2
-            out[f"cliff_avg_flatness_NT{n_t}"] = clifford_average_flatness(u_final @ zero_state(nq))
-            return out
-
-        per_instance = _map_indexed(one, instances, config.threads)
-        for d in grid:
-            picked = [
-                {
-                    f"otoc8_x1x1_NT{n_t}": inst[f"otoc8_x1x1_NT{n_t}@{int(d)}"],
-                    f"otoc8_x1zN_NT{n_t}": inst[f"otoc8_x1zN_NT{n_t}@{int(d)}"],
-                    f"flatness_NT{n_t}": inst[f"flatness_NT{n_t}@{int(d)}"],
-                }
-                for inst in per_instance
+            values = [
+                [otoc(u, x1, x1, 2), otoc(u, x1, zn, 2), flatness(u @ psi0)]
+                for u in (prefixes[int(d) - 1] for d in grid)
             ]
-            rows += _aggregate(float(d), picked, kinds)
-        analytic = [
-            {
-                f"cliff_avg_otoc8_NT{n_t}": inst[f"cliff_avg_otoc8_NT{n_t}"],
-                f"cliff_avg_flatness_NT{n_t}": inst[f"cliff_avg_flatness_NT{n_t}"],
-            }
-            for inst in per_instance
-        ]
-        rows += _aggregate(
-            float("nan"),
-            analytic,
-            {f"cliff_avg_otoc8_NT{n_t}": "analytic", f"cliff_avg_flatness_NT{n_t}": "analytic"},
+            u_final = prefixes[-1]
+            return values, [clifford_average_otoc(u_final, 2), clifford_average_flatness(u_final @ psi0)]
+
+        rows += _sweep_rows(
+            config,
+            one,
+            [f"otoc8_x1x1_NT{n_t}", f"otoc8_x1zN_NT{n_t}", f"flatness_NT{n_t}"],
+            [f"cliff_avg_otoc8_NT{n_t}", f"cliff_avg_flatness_NT{n_t}"],
         )
     return rows
 
 
-def _dynamic_quantities(u: np.ndarray, psi_t: np.ndarray, x1, zn) -> dict[str, float]:
-    return {
-        "flatness": flatness(psi_t),
-        "M2": renyi_stabilizer_entropy(psi_t, 2),
-        "otoc8_x1x1": otoc(u, x1, x1, 2),
-        "otoc8_x1zN": otoc(u, x1, zn, 2),
-    }
+_DYNAMIC_QUANTITIES = ("flatness", "M2", "otoc8_x1x1", "otoc8_x1zN")
+
+
+def _dynamic_quantities(u: np.ndarray, psi_t: np.ndarray, x1, zn) -> list[float]:
+    return [flatness(psi_t), renyi_stabilizer_entropy(psi_t, 2), otoc(u, x1, x1, 2), otoc(u, x1, zn, 2)]
 
 
 def _time_sweep(config: ExperimentConfig, hamiltonian_factory, label: str) -> list[RecordRow]:
-    nq = config.n_qubits or 3
-    grid = config.grid or tuple(np.logspace(-1, 3, 41))
-    instances = config.instances or 200
-    x1 = pauli_from_string("X" + "I" * (nq - 1))
-    zn = pauli_from_string("I" * (nq - 1) + "Z")
+    nq, grid = config.n_qubits, config.grid
+    x1, zn = _edge_paulis(nq)
     psi0 = zero_state(nq)
 
     def one(i):
-        rng = _instance_rng(config.seed, i)
-        ev = Evolver(hamiltonian_factory(nq, rng))
-        out: dict[str, float] = {}
+        ev = Evolver(hamiltonian_factory(nq, _instance_rng(config.seed, i)))
+        values = []
         for t in grid:
             u = ev.unitary(float(t))
-            psi_t = u @ psi0
-            for name, value in _dynamic_quantities(u, psi_t, x1, zn).items():
-                out[f"{name}{label}@{t!r}"] = value
-        psi_late = ev.evolve(float(grid[-1]), psi0)
-        late_moment = pauli_moment(psi_late, 2)
-        dim, d4 = 2**nq, 4**nq
-        out[f"cliff_avg_flatness{label}"] = 2 * (1 - late_moment) / ((dim + 1) * (dim + 2))
-        u_late = ev.unitary(float(grid[-1]))
-        choi_moment = pauli_moment(choi_state(u_late), 2)
-        out[f"cliff_avg_otoc8{label}"] = (choi_moment * d4 - 1.0) / (d4 - 1.0) ** 2
-        return out
-
-    per_instance = _map_indexed(one, instances, config.threads)
-    rows: list[RecordRow] = []
-    for t in grid:
-        picked = [
-            {
-                f"{name}{label}": inst[f"{name}{label}@{t!r}"]
-                for name in ("flatness", "M2", "otoc8_x1x1", "otoc8_x1zN")
-            }
-            for inst in per_instance
+            values.append(_dynamic_quantities(u, u @ psi0, x1, zn))
+        t_late = float(grid[-1])
+        return values, [
+            clifford_average_flatness(ev.evolve(t_late, psi0)),
+            clifford_average_otoc(ev.unitary(t_late), 2),
         ]
-        rows += _aggregate(float(t), picked, {})
-    analytic = [
-        {k: inst[k] for k in (f"cliff_avg_flatness{label}", f"cliff_avg_otoc8{label}")}
-        for inst in per_instance
-    ]
-    rows += _aggregate(
-        float("nan"),
-        analytic,
-        {f"cliff_avg_flatness{label}": "analytic", f"cliff_avg_otoc8{label}": "analytic"},
+
+    return _sweep_rows(
+        config,
+        one,
+        [f"{name}{label}" for name in _DYNAMIC_QUANTITIES],
+        [f"cliff_avg_flatness{label}", f"cliff_avg_otoc8{label}"],
     )
-    return rows
 
 
 def _preset_gue_time(config: ExperimentConfig) -> list[RecordRow]:
@@ -467,45 +438,24 @@ def _preset_ising(config: ExperimentConfig) -> list[RecordRow]:
 
 
 def _preset_random_circuit_depth(config: ExperimentConfig) -> list[RecordRow]:
-    nq = config.n_qubits or 3
-    grid = config.grid or tuple(range(1, 21))
+    nq, grid = config.n_qubits, config.grid
     depth_max = int(max(grid))
-    instances = config.instances or 50
-    x1 = pauli_from_string("X" + "I" * (nq - 1))
-    zn = pauli_from_string("I" * (nq - 1) + "Z")
+    x1, zn = _edge_paulis(nq)
     psi0 = zero_state(nq)
 
     def one(i):
-        rng = _instance_rng(config.seed, i)
-        layers = random_rotation_gate_layers(nq, depth_max, rng)
+        layers = random_rotation_gate_layers(nq, depth_max, _instance_rng(config.seed, i))
         prefixes = _prefix_unitaries(layers, nq)
-        out: dict[str, float] = {}
-        for d in grid:
-            u = prefixes[int(d) - 1]
-            psi_t = u @ psi0
-            out[f"M2_choi@{int(d)}"] = renyi_stabilizer_entropy(choi_state(u), 2)
-            for name, value in _dynamic_quantities(u, psi_t, x1, zn).items():
-                out[f"{name}@{int(d)}"] = value
+        values = [
+            [renyi_stabilizer_entropy(choi_state(u), 2)] + _dynamic_quantities(u, u @ psi0, x1, zn)
+            for u in (prefixes[int(d) - 1] for d in grid)
+        ]
         u_final = prefixes[-1]
-        d4 = 4**nq
-        choi_moment = pauli_moment(choi_state(u_final), 2)
-        out["cliff_avg_otoc8"] = (choi_moment * d4 - 1.0) / (d4 - 1.0) ** 2
-        out["cliff_avg_flatness"] = clifford_average_flatness(u_final @ psi0)
-        return out
+        return values, [clifford_average_otoc(u_final, 2), clifford_average_flatness(u_final @ psi0)]
 
-    per_instance = _map_indexed(one, instances, config.threads)
-    rows: list[RecordRow] = []
-    names = ("M2_choi", "flatness", "M2", "otoc8_x1x1", "otoc8_x1zN")
-    for d in grid:
-        picked = [{name: inst[f"{name}@{int(d)}"] for name in names} for inst in per_instance]
-        rows += _aggregate(float(d), picked, {})
-    analytic = [
-        {k: inst[k] for k in ("cliff_avg_otoc8", "cliff_avg_flatness")} for inst in per_instance
-    ]
-    rows += _aggregate(
-        float("nan"), analytic, {"cliff_avg_otoc8": "analytic", "cliff_avg_flatness": "analytic"}
+    return _sweep_rows(
+        config, one, ("M2_choi",) + _DYNAMIC_QUANTITIES, ("cliff_avg_otoc8", "cliff_avg_flatness")
     )
-    return rows
 
 
 def product_phase_state(n_qubits: int, s: float) -> np.ndarray:
@@ -526,19 +476,20 @@ def product_state_d_min(n_qubits: int, s: float) -> float:
 
 
 def _preset_monotone_relation(config: ExperimentConfig) -> list[RecordRow]:
-    grid = config.grid or tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
-    counts = _as_tuple(config.params.get("qubit_counts", (1, 2, 3, 4)))
-    rows: list[RecordRow] = []
-    for s in grid:
-        out: dict[str, float] = {}
-        for nq in (int(c) for c in counts):
-            psi = product_phase_state(nq, float(s))
-            out[f"M2_N{nq}"] = renyi_stabilizer_entropy(psi, 2)
-            out[f"M_half_N{nq}"] = float(np.log(pauli_moment(psi, 0.5)) / (1 - 0.5))
-            out[f"D_min_N{nq}"] = product_state_d_min(nq, float(s))
-            out[f"B_add_N{nq}"] = bell_magic(psi)[1]
-        rows += _aggregate(float(s), [out], {})
-    return rows
+    counts = [int(c) for c in _as_tuple(config.params.get("qubit_counts", (1, 2, 3, 4)))]
+
+    def point(nq: int, s: float) -> list[float]:
+        psi = product_phase_state(nq, s)
+        return [
+            renyi_stabilizer_entropy(psi, 2),
+            float(np.log(pauli_moment(psi, 0.5)) / (1 - 0.5)),
+            product_state_d_min(nq, s),
+            bell_magic(psi)[1],
+        ]
+
+    names = [f"{q}_N{nq}" for nq in counts for q in ("M2", "M_half", "D_min", "B_add")]
+    values = [[v for nq in counts for v in point(nq, float(s))] for s in config.grid]
+    return _rows(config.grid, names, np.array([values], dtype=float), "exact")
 
 
 _NOISE_KINDS = {
@@ -550,51 +501,31 @@ _NOISE_KINDS = {
 
 
 def _preset_noise_mitigation(config: ExperimentConfig) -> list[RecordRow]:
-    from .circuits import doped_layered_circuit
-
-    nq = config.n_qubits or 6
+    nq, p_grid = config.n_qubits, config.grid
     depth = int(config.params.get("depth", 20))
-    instances = config.instances or 20
     models = _as_tuple(
         config.params.get("models", ("local_depolarizing", "dephasing", "amplitude_damping"))
     )
-    p_grid = config.grid or (2e-5, 1e-4, 5e-4, 2e-3)
     n = int(config.moment_indices[0])
     rows: list[RecordRow] = []
     for family_idx, (family, n_t) in enumerate((("clifford", 0), ("doped", nq))):
         circuits = [
             doped_layered_circuit(nq, depth, n_t, _instance_rng(config.seed, family_idx, i))
-            for i in range(instances)
+            for i in range(config.instances)
         ]
         for model_name in models:
-            kind = _NOISE_KINDS[str(model_name)]
-            records = relative_error_study(circuits, kind, p_grid, n=n)
-            for p in p_grid:
-                at_p = [r for r in records if r.p == float(p)]
-                ratios = np.array([r.ratio for r in at_p if r.ratio is not None])
-                impurities = np.array([r.impurity for r in at_p])
-                if impurities.size:
-                    rows.append(
-                        RecordRow(
-                            float(p),
-                            f"impurity_{model_name}_{family}",
-                            float(np.mean(impurities)),
-                            float(np.std(impurities, ddof=1)) if impurities.size > 1 else 0.0,
-                            int(impurities.size),
-                            "exact",
-                        )
-                    )
+            records = relative_error_study(circuits, _NOISE_KINDS[str(model_name)], p_grid, n=n)
+            # records run circuit-major over p; a ratio of None (no error to
+            # mitigate) becomes NaN, which _rows skips
+            values = np.array(
+                [[r.impurity, np.nan if r.ratio is None else r.ratio] for r in records], dtype=float
+            ).reshape(len(circuits), len(p_grid), 2)
+            names = (f"impurity_{model_name}_{family}", f"ratio_{model_name}_{family}")
+            for pi, p in enumerate(p_grid):
+                rows += _rows((p,), names, values[:, pi : pi + 1], "exact")
+                ratios = values[:, pi, 1]
+                ratios = ratios[~np.isnan(ratios)]
                 if ratios.size:
-                    rows.append(
-                        RecordRow(
-                            float(p),
-                            f"ratio_{model_name}_{family}",
-                            float(np.mean(ratios)),
-                            float(np.std(ratios, ddof=1)) if ratios.size > 1 else 0.0,
-                            int(ratios.size),
-                            "exact",
-                        )
-                    )
                     rows.append(
                         RecordRow(
                             float(p),
@@ -608,24 +539,58 @@ def _preset_noise_mitigation(config: ExperimentConfig) -> list[RecordRow]:
     return rows
 
 
-_PRESET_FUNCTIONS = {
-    "doped_clifford_sweep": _preset_doped_clifford,
-    "scrambling_depth_sweep": _preset_scrambling_depth,
-    "gue_time_sweep": _preset_gue_time,
-    "random_pauli_sweep": _preset_random_pauli,
-    "ising_sweep": _preset_ising,
-    "random_circuit_depth": _preset_random_circuit_depth,
-    "monotone_relation_sweep": _preset_monotone_relation,
-    "noise_mitigation_study": _preset_noise_mitigation,
+_TIME_GRID = tuple(np.logspace(-1, 3, 41))
+
+# preset -> (function, default qubits, default grid, default instances); the
+# monotone sweep sets its register sizes through `qubit_counts` and has one
+# instance per point.
+_PRESETS = {
+    "doped_clifford_sweep": (_preset_doped_clifford, 3, tuple(range(7)), 6),
+    "scrambling_depth_sweep": (_preset_scrambling_depth, 4, tuple(range(1, 41)), 100),
+    "gue_time_sweep": (_preset_gue_time, 3, _TIME_GRID, 200),
+    # N = 3 has only 63 non-identity strings, fewer than the largest default K
+    "random_pauli_sweep": (_preset_random_pauli, 4, _TIME_GRID, 200),
+    "ising_sweep": (_preset_ising, 3, _TIME_GRID, 200),
+    "random_circuit_depth": (_preset_random_circuit_depth, 3, tuple(range(1, 21)), 50),
+    "monotone_relation_sweep": (
+        _preset_monotone_relation, None, tuple(np.round(np.linspace(0.1, 1.0, 10), 10)), None,
+    ),
+    "noise_mitigation_study": (_preset_noise_mitigation, 6, (2e-5, 1e-4, 5e-4, 2e-3), 20),
 }
+
+PRESETS = tuple(_PRESETS)
+
+
+def _resolve(config: ExperimentConfig) -> ExperimentConfig:
+    """A copy of the config with the preset's defaults filled in for fields
+    left as None.  Raises ConfigError, naming the field, for a size below
+    its minimum or an empty grid."""
+    if config.preset not in _PRESETS:
+        raise ConfigError(f"unknown preset {config.preset!r}; known: {', '.join(PRESETS)}")
+    _, qubits, grid, instances = _PRESETS[config.preset]
+    resolved = replace(
+        config,
+        n_qubits=qubits if config.n_qubits is None else config.n_qubits,
+        grid=grid if config.grid is None else config.grid,
+        instances=instances if config.instances is None else config.instances,
+        seed=0 if config.seed is None else config.seed,
+    )
+    for name, value, least in (
+        ("qubits", resolved.n_qubits, 1),
+        ("instances", resolved.instances, 1),
+        ("shots", resolved.shots, 1),
+        ("haar_samples", resolved.params.get("haar_samples"), 2),
+    ):
+        if value is not None and not (isinstance(value, numbers.Integral) and value >= least):
+            raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+    if len(resolved.grid) == 0:
+        raise ConfigError("grid must not be empty")
+    return resolved
 
 
 def run_preset(config: ExperimentConfig) -> list[RecordRow]:
-    if config.preset not in _PRESET_FUNCTIONS:
-        raise ConfigError(
-            f"unknown preset {config.preset!r}; known: {', '.join(PRESETS)}"
-        )
-    return _PRESET_FUNCTIONS[config.preset](config)
+    resolved = _resolve(config)
+    return _PRESETS[resolved.preset][0](resolved)
 
 
 def rows_to_csv(rows: list[RecordRow]) -> str:

@@ -122,12 +122,6 @@ def estimate_p_from_purity(purity_value: float, n_qubits: int) -> float:
     return float(1.0 - np.sqrt((dim * purity_value - 1.0) / (dim - 1.0)))
 
 
-def depolarized_moment(moment_pure: float, p: float, n: int, n_qubits: int) -> float:
-    """Forward map: the moment of (1-p) psi + p I/2^N given the pure moment."""
-    shrink = (1.0 - p) ** (2 * n)
-    return shrink * moment_pure + (1.0 - shrink) / 2**n_qubits
-
-
 def mitigate_moment(moment_noisy: float, p: float, n: int, n_qubits: int) -> float:
     """Invert the global-depolarizing moment map."""
     if not (0.0 <= p < 1.0):

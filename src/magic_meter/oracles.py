@@ -129,10 +129,6 @@ def otoc(u, sigma: PauliString, sigma_prime: PauliString, n: int) -> float:
     return float((val.real / 2**nq) ** (2 * n))
 
 
-def choi_of(u) -> np.ndarray:
-    return choi_state(_as_unitary(u))
-
-
 def clifford_average_otoc(u, n: int) -> float:
     """otoc_4n averaged over Clifford pre/post-rotations:
     (A_n(choi) 4^N - 1)/(4^N - 1)^2."""
@@ -141,20 +137,6 @@ def clifford_average_otoc(u, n: int) -> float:
     moment = pauli_moment(choi_state(mat), n)
     d4 = 4**nq
     return float((moment * d4 - 1.0) / (d4 - 1.0) ** 2)
-
-
-def pauli_average_otoc(u, n: int) -> float:
-    """otoc_4n averaged over all 4^N x 4^N Pauli pairs; equals A_n of the Choi
-    state, but evaluated here by the literal double sum."""
-    mat = _as_unitary(u)
-    nq = n_qubits_of(mat)
-    if nq > 5:
-        raise CapacityError("double Pauli sum guarded to 5 qubits")
-    total = 0.0
-    for i in range(4**nq):
-        for j in range(4**nq):
-            total += otoc(mat, pauli_from_index(i, nq), pauli_from_index(j, nq), n)
-    return total / 4**nq
 
 
 # -- stabilizer-state enumeration and fidelity --------------------------------

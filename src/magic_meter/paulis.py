@@ -8,7 +8,6 @@ i^{|z & x|} X^x Z^z, i.e. the Hermitian representative with sign +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -229,8 +228,3 @@ def pauli_spectrum(state: np.ndarray) -> PauliSpectrum:
     n = int(np.log2(state.shape[0]))
     values = all_expectations(state)
     return PauliSpectrum(values**2 / 2**n, n)
-
-
-def pauli_product_matrix(paulis: list[PauliString]) -> np.ndarray:
-    """Dense product of several strings, phases included (testing helper)."""
-    return reduce(np.matmul, (p.to_matrix() for p in paulis))

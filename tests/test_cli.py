@@ -200,6 +200,26 @@ def test_experiment_subcommand(capsys, tmp_path):
     assert out_path.read_text() == text
 
 
+def test_experiment_seed_precedence(capsys, tmp_path, monkeypatch):
+    # --seed, then the config's seed, then MAGIC_METER_SEED, then 0
+    monkeypatch.setenv("MAGIC_METER_SEED", "77")
+    base = "preset = gue_time_sweep\nqubits = 2\ngrid = 0.5\ninstances = 2\nthreads = 1\n"
+
+    def csv_bytes(config_text, *flags):
+        cfg = tmp_path / "exp.txt"
+        out_path = tmp_path / "rows.csv"
+        cfg.write_text(config_text)
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg), "--output", str(out_path), *flags)
+        assert code == 0
+        return out_path.read_bytes()
+
+    from_config = csv_bytes(base + "seed = 5\n")
+    assert from_config == csv_bytes(base, "--seed", "5")
+    assert from_config != csv_bytes(base, "--seed", "0")
+    assert csv_bytes(base + "seed = 5\n", "--seed", "0") == csv_bytes(base, "--seed", "0")
+    assert csv_bytes(base) == csv_bytes(base, "--seed", "77")
+
+
 def test_experiment_json_format(capsys, tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,35 @@ def test_config_missing_preset():
 def test_unknown_preset():
     with pytest.raises(ConfigError, match="unknown preset"):
         run_preset(ExperimentConfig(preset="nope"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("qubits", 0),
+        ("qubits", "three"),
+        ("instances", 0),
+        ("shots", 0),
+        ("shots", -5),
+        ("haar_samples", 1),
+        ("grid", []),
+    ],
+)
+def test_nonpositive_sizes_are_config_errors(capsys, tmp_path, field, value):
+    from magic_meter.cli import main
+
+    doc = {"preset": "doped_clifford_sweep", "qubits": 2, "grid": [0], "instances": 1,
+           "shots": 10, "haar_samples": 2, field: value}
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(cfg), "--seed", "0"]) == 3
+    assert field in capsys.readouterr().err
+
+
+def test_random_pauli_sweep_runs_with_default_register():
+    # the default register must hold the largest default K of 70 distinct strings
+    rows = run_preset(ExperimentConfig(preset="random_pauli_sweep", grid=(1.0,), instances=1))
+    assert {r.quantity for r in rows} >= {"flatness_K4", "flatness_K16", "flatness_K70"}
 
 
 def test_haar_reference_scaling():

@@ -6,7 +6,6 @@ from magic_meter.noise import (
     NoiseKind,
     NoiseModel,
     apply_channel,
-    depolarized_moment,
     estimate_p_from_purity,
     mitigate_moment,
     mitigate_renyi,
@@ -131,6 +130,12 @@ def test_estimate_p_round_trip():
 def test_mitigation_identity_at_zero_noise():
     assert mitigate_moment(0.42, 0.0, 2, 3) == pytest.approx(0.42)
     assert mitigate_tsallis(0.1, 0.0, 2, 3) == pytest.approx(0.1)
+
+
+def depolarized_moment(moment_pure: float, p: float, n: int, n_qubits: int) -> float:
+    """Forward map: the moment of (1-p) psi + p I/2^N given the pure moment."""
+    shrink = (1.0 - p) ** (2 * n)
+    return shrink * moment_pure + (1.0 - shrink) / 2**n_qubits
 
 
 def test_mitigation_round_trip_exact():

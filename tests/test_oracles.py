@@ -23,7 +23,6 @@ from magic_meter.oracles import (
     moment_operator,
     otoc,
     participation_entropy,
-    pauli_average_otoc,
     pauli_moment,
     renyi_stabilizer_entropy,
     stabilizer_fidelity,
@@ -32,7 +31,7 @@ from magic_meter.oracles import (
     von_neumann_stabilizer_entropy,
 )
 from magic_meter.paulis import CapacityError, expectation, pauli_from_index, pauli_from_string
-from magic_meter.states import choi_state, haar_random_state, t_state, zero_state
+from magic_meter.states import choi_state, haar_random_state, n_qubits_of, t_state, zero_state
 
 RNG = np.random.default_rng(20)
 
@@ -216,6 +215,17 @@ def test_clifford_average_otoc_exact_single_qubit_group():
             total += otoc(c1 @ u @ c2, sx, sz, 2)
     avg = total / 24**2
     assert avg == pytest.approx(clifford_average_otoc(u, 2), abs=1e-12)
+
+
+def pauli_average_otoc(u: np.ndarray, n: int) -> float:
+    """otoc_4n averaged over all 4^N x 4^N Pauli pairs by the literal double
+    sum, an independent check of its closed form, A_n of the Choi state."""
+    nq = n_qubits_of(u)
+    total = 0.0
+    for i in range(4**nq):
+        for j in range(4**nq):
+            total += otoc(u, pauli_from_index(i, nq), pauli_from_index(j, nq), n)
+    return total / 4**nq
 
 
 def test_pauli_average_otoc_is_choi_moment():
