@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .paulis import PauliString, apply_pauli, pauli_from_string
-from .states import STATEVECTOR_QUBIT_GUARD, zero_state
+from .paulis import CapacityError, PauliString, apply_pauli, pauli_from_string
+from .states import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, zero_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -174,22 +175,25 @@ def gate_ry(q: int, angle: float) -> Gate:
 _AXIS_CHAR = {"RX": "X", "RY": "Y", "RZ": "Z"}
 
 
-def _rotation_axis(g: Gate, n: int) -> PauliString:
-    if g.name == "ROT":
-        return g.axis
+@lru_cache(maxsize=256)
+def _single_axis(name: str, q: int, n: int) -> PauliString:
     chars = ["I"] * n
-    chars[g.qubits[0] - 1] = _AXIS_CHAR[g.name]
+    chars[q - 1] = _AXIS_CHAR[name]
     return pauli_from_string("".join(chars))
 
 
-def _apply_single(psi: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
+def _rotation_axis(g: Gate, n: int) -> PauliString:
+    if g.name == "ROT":
+        return g.axis
+    return _single_axis(g.name, g.qubits[0], n)
+
+
+def _apply_single(psi: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
     """Apply a 2x2 matrix on 1-based qubit q of a statevector, or columnwise
-    on a (2^n, m) matrix."""
-    axis = q - 1
-    tail = psi.shape[1] if psi.ndim == 2 else 1
-    tensor = psi.reshape([2] * n + [tail])
-    tensor = np.tensordot(mat, tensor, axes=([1], [axis]))
-    return np.moveaxis(tensor, 0, axis).reshape(psi.shape)
+    on a (2^n, m) matrix, as one product on the (2, M) block of that bit."""
+    block = psi.reshape(1 << (q - 1), 2, -1).transpose(1, 0, 2)
+    out = mat @ block.reshape(2, -1)
+    return out.reshape(block.shape).transpose(1, 0, 2).reshape(psi.shape)
 
 
 def _apply_cnot(psi: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
@@ -204,14 +208,16 @@ def _apply_cnot(psi: np.ndarray, control: int, target: int, n: int) -> np.ndarra
 
 
 def apply_gate(gate: Gate, psi: np.ndarray, n: int) -> np.ndarray:
+    if psi.shape[0] != 1 << n:
+        raise ValueError(f"array dimension {psi.shape[0]} differs from 2^{n}")
     if gate.name == "H":
-        return _apply_single(psi, _H, gate.qubits[0], n)
+        return _apply_single(psi, _H, gate.qubits[0])
     if gate.name == "S":
-        return _apply_single(psi, _S, gate.qubits[0], n)
+        return _apply_single(psi, _S, gate.qubits[0])
     if gate.name == "T":
-        return _apply_single(psi, _T, gate.qubits[0], n)
+        return _apply_single(psi, _T, gate.qubits[0])
     if gate.name == "C1":
-        return _apply_single(psi, SINGLE_QUBIT_CLIFFORDS[gate.clifford_index], gate.qubits[0], n)
+        return _apply_single(psi, SINGLE_QUBIT_CLIFFORDS[gate.clifford_index], gate.qubits[0])
     if gate.name == "CNOT":
         return _apply_cnot(psi, gate.qubits[0], gate.qubits[1], n)
     axis = _rotation_axis(gate, n)
@@ -223,7 +229,7 @@ def apply_circuit(circuit: Circuit, psi: np.ndarray | None = None) -> np.ndarray
     """Run the circuit on the given statevector (default |0...0>)."""
     n = circuit.n_qubits
     if n > STATEVECTOR_QUBIT_GUARD:
-        raise ValueError(f"statevector simulation guarded to {STATEVECTOR_QUBIT_GUARD} qubits")
+        raise CapacityError(f"statevector simulation guarded to {STATEVECTOR_QUBIT_GUARD} qubits")
     psi = zero_state(n) if psi is None else np.asarray(psi, dtype=complex)
     if psi.shape[0] != 1 << n:
         raise ValueError("state dimension differs from circuit width")
@@ -235,6 +241,8 @@ def apply_circuit(circuit: Circuit, psi: np.ndarray | None = None) -> np.ndarray
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (columns = images of basis states)."""
     n = circuit.n_qubits
+    if n > DENSITY_QUBIT_GUARD:
+        raise CapacityError(f"dense unitaries guarded to {DENSITY_QUBIT_GUARD} qubits")
     u = np.eye(1 << n, dtype=complex)
     for gate in circuit.gates:
         u = apply_gate(gate, u, n)

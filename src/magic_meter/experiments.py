@@ -559,12 +559,14 @@ _PRESETS = {
 }
 
 PRESETS = tuple(_PRESETS)
+_DEPTH_PRESETS = ("scrambling_depth_sweep", "random_circuit_depth")
 
 
 def _resolve(config: ExperimentConfig) -> ExperimentConfig:
     """A copy of the config with the preset's defaults filled in for fields
     left as None.  Raises ConfigError, naming the field, for a size below
-    its minimum or an empty grid."""
+    its minimum, an empty grid, or a circuit depth that is not an integer
+    of at least 1."""
     if config.preset not in _PRESETS:
         raise ConfigError(f"unknown preset {config.preset!r}; known: {', '.join(PRESETS)}")
     _, qubits, grid, instances = _PRESETS[config.preset]
@@ -585,6 +587,10 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
     if len(resolved.grid) == 0:
         raise ConfigError("grid must not be empty")
+    if resolved.preset in _DEPTH_PRESETS and not all(
+        isinstance(d, numbers.Real) and float(d).is_integer() and d >= 1 for d in resolved.grid
+    ):
+        raise ConfigError(f"grid depths must be integers of at least 1, got {list(resolved.grid)!r}")
     return resolved
 
 

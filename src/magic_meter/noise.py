@@ -12,6 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .circuits import Circuit, Gate
+from .paulis import CapacityError
 from .states import DENSITY_QUBIT_GUARD, n_qubits_of, purity, zero_state
 
 
@@ -34,18 +35,18 @@ class NoiseModel:
 
 
 def _apply_kraus_single(rho: np.ndarray, kraus: list[np.ndarray], qubit: int, n: int) -> np.ndarray:
-    """Apply a single-qubit Kraus channel on 1-based qubit of a density matrix."""
-    axis_row = qubit - 1
-    axis_col = n + qubit - 1
-    tensor = rho.reshape([2] * (2 * n))
-    out = np.zeros_like(tensor)
+    """Apply a single-qubit Kraus channel on 1-based qubit of a density matrix.
+
+    With rho indexed (row_hi, row_bit, row_lo, col_hi, col_bit, col_lo), each
+    K rho K^dag is one product on the row-bit block, then one on the col-bit
+    block; the running sum stays in (col_bit, row_bit, ...) order."""
+    a, b = 1 << (qubit - 1), 1 << (n - qubit)
+    rows = rho.reshape(a, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+    out = np.zeros((2, 2, a, b, a, b), dtype=rho.dtype)
     for k in kraus:
-        t = np.tensordot(k, tensor, axes=([1], [axis_row]))
-        t = np.moveaxis(t, 0, axis_row)
-        t = np.tensordot(k.conj(), t, axes=([1], [axis_col]))
-        t = np.moveaxis(t, 0, axis_col)
-        out += t
-    return out.reshape(rho.shape)
+        t = (k @ rows).reshape(2, a, b, a, 2, b).transpose(4, 0, 1, 2, 3, 5)
+        out += (k.conj() @ t.reshape(2, -1)).reshape(out.shape)
+    return out.transpose(2, 1, 3, 4, 0, 5).reshape(rho.shape)
 
 
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -102,7 +103,7 @@ def noisy_circuit_state(circuit: Circuit, model: NoiseModel, rho=None) -> np.nda
     gate on the qubits the gate touched."""
     n = circuit.n_qubits
     if n > DENSITY_QUBIT_GUARD:
-        raise ValueError(f"density-matrix simulation guarded to {DENSITY_QUBIT_GUARD} qubits")
+        raise CapacityError(f"density-matrix simulation guarded to {DENSITY_QUBIT_GUARD} qubits")
     if rho is None:
         psi = zero_state(n)
         rho = np.outer(psi, psi.conj())

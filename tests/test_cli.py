@@ -69,6 +69,19 @@ def test_exact_otoc(capsys, t_circuit_file):
     assert 0.0 <= float(out.strip()) <= 1.0
 
 
+def test_exact_otoc_over_unitary_guard_exit_three(capsys, tmp_path):
+    # a 13-qubit dense unitary would take 1 GB; the guard refuses it first
+    path = tmp_path / "wide.txt"
+    path.write_text(circuit_to_text(Circuit(13, (gate_h(1),))))
+    code, _, err = run_cli(
+        capsys,
+        "exact", "--circuit", str(path), "--measure", "otoc",
+        "--sigma", "X" + "I" * 12, "--sigma-prime", "Z" + "I" * 12,
+    )
+    assert code == 3
+    assert "guarded" in err
+
+
 def test_estimate_alg1_t_state(capsys):
     code, out, _ = run_cli(
         capsys,

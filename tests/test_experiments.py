@@ -85,6 +85,13 @@ def test_nonpositive_sizes_are_config_errors(capsys, tmp_path, field, value):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", [0, -1, 2.5])
+@pytest.mark.parametrize("preset", ["scrambling_depth_sweep", "random_circuit_depth"])
+def test_depth_grid_points_must_be_integers_of_at_least_one(preset, depth):
+    with pytest.raises(ConfigError, match="grid"):
+        run_preset(ExperimentConfig(preset=preset, n_qubits=2, grid=(depth, 2), instances=1))
+
+
 def test_random_pauli_sweep_runs_with_default_register():
     # the default register must hold the largest default K of 70 distinct strings
     rows = run_preset(ExperimentConfig(preset="random_pauli_sweep", grid=(1.0,), instances=1))
