@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .paulis import CapacityError, PauliString, apply_pauli, pauli_from_string
-from .states import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, zero_state
+from .states import STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, zero_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -175,17 +174,12 @@ def gate_ry(q: int, angle: float) -> Gate:
 _AXIS_CHAR = {"RX": "X", "RY": "Y", "RZ": "Z"}
 
 
-@lru_cache(maxsize=256)
-def _single_axis(name: str, q: int, n: int) -> PauliString:
-    chars = ["I"] * n
-    chars[q - 1] = _AXIS_CHAR[name]
-    return pauli_from_string("".join(chars))
-
-
 def _rotation_axis(g: Gate, n: int) -> PauliString:
     if g.name == "ROT":
         return g.axis
-    return _single_axis(g.name, g.qubits[0], n)
+    chars = ["I"] * n
+    chars[g.qubits[0] - 1] = _AXIS_CHAR[g.name]
+    return pauli_from_string("".join(chars))
 
 
 def _apply_single(psi: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
@@ -241,8 +235,8 @@ def apply_circuit(circuit: Circuit, psi: np.ndarray | None = None) -> np.ndarray
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (columns = images of basis states)."""
     n = circuit.n_qubits
-    if n > DENSITY_QUBIT_GUARD:
-        raise CapacityError(f"dense unitaries guarded to {DENSITY_QUBIT_GUARD} qubits")
+    if n > UNITARY_QUBIT_GUARD:
+        raise CapacityError(f"dense unitaries guarded to {UNITARY_QUBIT_GUARD} qubits")
     u = np.eye(1 << n, dtype=complex)
     for gate in circuit.gates:
         u = apply_gate(gate, u, n)

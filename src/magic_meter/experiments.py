@@ -351,9 +351,16 @@ def _prefix_unitaries(layers: list, n_qubits: int) -> list[np.ndarray]:
     return out
 
 
+def _depths(grid) -> tuple[int, ...]:
+    """The grid as circuit depths; each indexes the prefix list as d - 1."""
+    if not all(isinstance(d, numbers.Real) and float(d).is_integer() and d >= 1 for d in grid):
+        raise ConfigError(f"grid depths must be integers of at least 1, got {list(grid)!r}")
+    return tuple(int(d) for d in grid)
+
+
 def _preset_scrambling_depth(config: ExperimentConfig) -> list[RecordRow]:
-    nq, grid = config.n_qubits, config.grid
-    depth_max = int(max(grid))
+    nq, depths = config.n_qubits, _depths(config.grid)
+    depth_max = max(depths)
     tgate_counts = tuple(int(t) for t in _as_tuple(config.params.get("tgates", (0, 4, 16))))
     x1, zn = _edge_paulis(nq)
     psi0 = zero_state(nq)
@@ -364,7 +371,7 @@ def _preset_scrambling_depth(config: ExperimentConfig) -> list[RecordRow]:
             prefixes = _prefix_unitaries(layers, nq)
             values = [
                 [otoc(u, x1, x1, 2), otoc(u, x1, zn, 2), flatness(u @ psi0)]
-                for u in (prefixes[int(d) - 1] for d in grid)
+                for u in (prefixes[d - 1] for d in depths)
             ]
             u_final = prefixes[-1]
             return values, [clifford_average_otoc(u_final, 2), clifford_average_flatness(u_final @ psi0)]
@@ -438,8 +445,8 @@ def _preset_ising(config: ExperimentConfig) -> list[RecordRow]:
 
 
 def _preset_random_circuit_depth(config: ExperimentConfig) -> list[RecordRow]:
-    nq, grid = config.n_qubits, config.grid
-    depth_max = int(max(grid))
+    nq, depths = config.n_qubits, _depths(config.grid)
+    depth_max = max(depths)
     x1, zn = _edge_paulis(nq)
     psi0 = zero_state(nq)
 
@@ -448,7 +455,7 @@ def _preset_random_circuit_depth(config: ExperimentConfig) -> list[RecordRow]:
         prefixes = _prefix_unitaries(layers, nq)
         values = [
             [renyi_stabilizer_entropy(choi_state(u), 2)] + _dynamic_quantities(u, u @ psi0, x1, zn)
-            for u in (prefixes[int(d) - 1] for d in grid)
+            for u in (prefixes[d - 1] for d in depths)
         ]
         u_final = prefixes[-1]
         return values, [clifford_average_otoc(u_final, 2), clifford_average_flatness(u_final @ psi0)]
@@ -559,14 +566,12 @@ _PRESETS = {
 }
 
 PRESETS = tuple(_PRESETS)
-_DEPTH_PRESETS = ("scrambling_depth_sweep", "random_circuit_depth")
 
 
 def _resolve(config: ExperimentConfig) -> ExperimentConfig:
     """A copy of the config with the preset's defaults filled in for fields
     left as None.  Raises ConfigError, naming the field, for a size below
-    its minimum, an empty grid, or a circuit depth that is not an integer
-    of at least 1."""
+    its minimum or an empty grid."""
     if config.preset not in _PRESETS:
         raise ConfigError(f"unknown preset {config.preset!r}; known: {', '.join(PRESETS)}")
     _, qubits, grid, instances = _PRESETS[config.preset]
@@ -587,10 +592,6 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
     if len(resolved.grid) == 0:
         raise ConfigError("grid must not be empty")
-    if resolved.preset in _DEPTH_PRESETS and not all(
-        isinstance(d, numbers.Real) and float(d).is_integer() and d >= 1 for d in resolved.grid
-    ):
-        raise ConfigError(f"grid depths must be integers of at least 1, got {list(resolved.grid)!r}")
     return resolved
 
 

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paulis import PauliString, apply_pauli, commutes, pauli_from_index, pauli_from_string
-from .states import n_qubits_of
+from .states import UNITARY_QUBIT_GUARD, n_qubits_of
 
 HERMITIAN_TOL = 1e-10
-EVOLUTION_QUBIT_GUARD = 10
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,8 @@ class Evolver:
     def __init__(self, hamiltonian):
         h = dense_of(hamiltonian)
         n = n_qubits_of(h)
-        if n > EVOLUTION_QUBIT_GUARD:
-            raise ValueError(f"dense evolution guarded to {EVOLUTION_QUBIT_GUARD} qubits")
+        if n > UNITARY_QUBIT_GUARD:
+            raise ValueError(f"dense evolution guarded to {UNITARY_QUBIT_GUARD} qubits")
         self.eigvals, self.eigvecs = np.linalg.eigh(h)
 
     def unitary(self, t: float) -> np.ndarray:

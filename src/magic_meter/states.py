@@ -12,6 +12,7 @@ NORM_TOL = 1e-10
 
 STATEVECTOR_QUBIT_GUARD = 12
 DENSITY_QUBIT_GUARD = 8
+UNITARY_QUBIT_GUARD = 10  # dense 2^N x 2^N unitaries: 16 MB at the guard
 
 
 def n_qubits_of(state: np.ndarray) -> int:

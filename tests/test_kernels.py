@@ -25,6 +25,7 @@ from magic_meter.paulis import CapacityError
 from magic_meter.states import (
     DENSITY_QUBIT_GUARD,
     STATEVECTOR_QUBIT_GUARD,
+    UNITARY_QUBIT_GUARD,
     haar_random_state,
     random_density_matrix,
 )
@@ -110,15 +111,22 @@ def test_apply_channel_matches_tensordot_reference(n, kind, p):
 
 def test_layer1_size_guards_raise_capacity_error():
     # empty circuits over each guard: the guard must fire before allocation
-    over_density = Circuit(DENSITY_QUBIT_GUARD + 1)
     with pytest.raises(CapacityError, match="statevector"):
         apply_circuit(Circuit(STATEVECTOR_QUBIT_GUARD + 1))
     with pytest.raises(CapacityError, match="unitaries"):
-        circuit_unitary(over_density)
+        circuit_unitary(Circuit(UNITARY_QUBIT_GUARD + 1))
     with pytest.raises(CapacityError, match="unitaries"):
         circuit_unitary(Circuit(20))
     with pytest.raises(CapacityError, match="density-matrix"):
-        noisy_circuit_state(over_density, NoiseModel(NoiseKind.DEPHASING, 0.1))
+        noisy_circuit_state(Circuit(DENSITY_QUBIT_GUARD + 1), NoiseModel(NoiseKind.DEPHASING, 0.1))
+
+
+def test_circuit_unitary_runs_past_the_density_guard():
+    # a dense unitary shares the dense-evolution guard, not the density-matrix one
+    n = DENSITY_QUBIT_GUARD + 1
+    u = circuit_unitary(Circuit(n, (gate_h(n),)))
+    assert u.shape == (1 << n, 1 << n)
+    np.testing.assert_allclose(u[:2, :2], _H, rtol=RTOL, atol=ATOL)
 
 
 def test_apply_gate_rejects_a_dimension_other_than_two_to_the_n():
