@@ -75,8 +75,10 @@ def deinterleave_index(index, n_qubits: int):
     return compact_bits(idx >> 1, n_qubits), compact_bits(idx, n_qubits)
 
 
-def swap_pair_bits(index, n_qubits: int):
-    """Exchange the z and x bit of every qubit pair of interleaved indices."""
-    idx = np.asarray(index, dtype=np.int64)
+def symplectic_wht(a: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Symplectic Fourier transform over interleaved Pauli indices,
+    W[r] = sum_s (-1)^{<r, s>} a[s] with <r, s> = z_r.x_s + x_r.z_s: the WHT
+    read at the index with the z and x bit of every qubit pair exchanged."""
+    idx = np.arange(a.shape[-1])
     even = spread_bits((1 << n_qubits) - 1, n_qubits)  # 0b0101...01
-    return ((idx & even) << 1) | ((idx >> 1) & even)
+    return wht(a)[((idx & even) << 1) | ((idx >> 1) & even)]

@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import popcount, spread_bits, xor_convolve
+from ._bits import popcount, spread_bits, symplectic_wht, xor_convolve
 from .circuits import Circuit, apply_circuit
-from .paulis import CapacityError, expectation, pauli_from_index
-from .states import n_qubits_of
-
-BELL_PURE_QUBIT_GUARD = 12  # per copy; the joint register has 2N qubits
-BELL_MIXED_QUBIT_GUARD = 6
+from .paulis import CapacityError, all_expectations, expectation, pauli_from_index
+from .states import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, n_qubits_of
 
 _BELL_4x4 = None
 
@@ -60,8 +57,8 @@ def bell_distribution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     computational basis; index = interleaved Pauli index.
 
     For (a, b) = (psi*, psi) this is the Pauli spectrum Xi; for (psi, psi) it
-    is P(r) = 2^-N |<psi|sigma_r|psi*>|^2.  Density-matrix inputs are handled
-    by eigendecomposition.
+    is P(r) = 2^-N |<psi|sigma_r|psi*>|^2.  For density matrices it is the
+    symplectic Fourier transform of tr(rho_a^T sigma) tr(rho_b sigma), over 4^N.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     n = n_qubits_of(a)
@@ -70,22 +67,13 @@ def bell_distribution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != b.ndim:
         raise ValueError("copies must both be pure or both mixed")
     if a.ndim == 1:
-        if n > BELL_PURE_QUBIT_GUARD:
-            raise CapacityError(f"Bell register guarded to 2x{BELL_PURE_QUBIT_GUARD} qubits")
+        if n > STATEVECTOR_QUBIT_GUARD:  # per copy; the joint register has 2N qubits
+            raise CapacityError(f"Bell register guarded to 2x{STATEVECTOR_QUBIT_GUARD} qubits")
         return np.abs(_bell_rotate(_interleave_copies(a, b, n), n)) ** 2
-    if n > BELL_MIXED_QUBIT_GUARD:
-        raise CapacityError(f"mixed-state Bell sampling guarded to {BELL_MIXED_QUBIT_GUARD} qubits")
-    vals_a, vecs_a = np.linalg.eigh(a)
-    vals_b, vecs_b = np.linalg.eigh(b)
-    dist = np.zeros(4**n)
-    for wa, va in zip(vals_a, vecs_a.T):
-        if wa < 1e-12:
-            continue
-        for wb, vb in zip(vals_b, vecs_b.T):
-            if wb < 1e-12:
-                continue
-            dist += wa * wb * np.abs(_bell_rotate(_interleave_copies(va, vb, n), n)) ** 2
-    return dist
+    if n > DENSITY_QUBIT_GUARD:
+        raise CapacityError(f"mixed-state Bell sampling guarded to {DENSITY_QUBIT_GUARD} qubits")
+    dist = symplectic_wht(all_expectations(a.T) * all_expectations(b), n) / 4**n
+    return np.maximum(dist, 0.0)  # zero probabilities can round to -1e-18
 
 
 def sample_bell(dist: np.ndarray, size, rng) -> np.ndarray:

@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulis import PauliString, apply_pauli, commutes, pauli_from_index, pauli_from_string
+from .paulis import (
+    CapacityError,
+    PauliString,
+    apply_pauli,
+    commutes,
+    pauli_from_index,
+    pauli_from_string,
+)
 from .states import UNITARY_QUBIT_GUARD, n_qubits_of
 
 HERMITIAN_TOL = 1e-10
@@ -32,7 +39,7 @@ class PauliSum:
         h = np.zeros((dim, dim), dtype=complex)
         basis = np.eye(dim, dtype=complex)
         for g, sigma in self.terms:
-            h += g * np.stack([apply_pauli(sigma, basis[:, k]) for k in range(dim)], axis=1)
+            h += g * apply_pauli(sigma, basis)
         return h
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
@@ -104,11 +111,10 @@ class Evolver:
     """Eigendecomposition of a Hamiltonian, reused across evolution times."""
 
     def __init__(self, hamiltonian):
-        h = dense_of(hamiltonian)
-        n = n_qubits_of(h)
+        n = hamiltonian.n_qubits if isinstance(hamiltonian, PauliSum) else n_qubits_of(hamiltonian)
         if n > UNITARY_QUBIT_GUARD:
-            raise ValueError(f"dense evolution guarded to {UNITARY_QUBIT_GUARD} qubits")
-        self.eigvals, self.eigvecs = np.linalg.eigh(h)
+            raise CapacityError(f"dense evolution guarded to {UNITARY_QUBIT_GUARD} qubits")
+        self.eigvals, self.eigvecs = np.linalg.eigh(dense_of(hamiltonian))
 
     def unitary(self, t: float) -> np.ndarray:
         phases = np.exp(-1j * self.eigvals * t)

@@ -14,19 +14,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._bits import interleave_zx, swap_pair_bits, wht
-from .circuits import Circuit, Gate, apply_gate, circuit_unitary, gate_cnot
+from ._bits import symplectic_wht, wht
+from .circuits import Circuit, Gate, _canonical_phase, apply_gate, circuit_unitary, gate_cnot
 from .paulis import (
+    SPECTRUM_QUBIT_GUARD,
     CapacityError,
     PauliString,
+    _pauli_transform,
     all_expectations,
     apply_pauli,
     pauli_from_index,
 )
-from .states import choi_state, n_qubits_of
+from .states import DENSITY_QUBIT_GUARD, choi_state, n_qubits_of
 
-MOMENT_QUBIT_GUARD = 12
-DENSITY_MOMENT_QUBIT_GUARD = 8
 STABILIZER_ENUM_GUARD = 3
 GAMMA_COPY_GUARD = 4
 
@@ -39,7 +39,7 @@ def pauli_moment(state: np.ndarray, n) -> float:
     """
     state = np.asarray(state)
     nq = n_qubits_of(state)
-    guard = MOMENT_QUBIT_GUARD if state.ndim == 1 else DENSITY_MOMENT_QUBIT_GUARD
+    guard = SPECTRUM_QUBIT_GUARD if state.ndim == 1 else DENSITY_QUBIT_GUARD
     if nq > guard:
         raise CapacityError(f"{nq}-qubit Pauli sum exceeds the {guard}-qubit guard")
     if n <= 0:
@@ -141,12 +141,6 @@ def clifford_average_otoc(u, n: int) -> float:
 
 # -- stabilizer-state enumeration and fidelity --------------------------------
 
-def _canonical_key(psi: np.ndarray) -> bytes:
-    lead = psi[np.argmax(np.abs(psi) > 1e-8)]
-    rounded = np.round(psi / (lead / abs(lead)), 9) + 0.0  # drop negative zeros
-    return rounded.tobytes()
-
-
 @lru_cache(maxsize=STABILIZER_ENUM_GUARD)
 def enumerate_stabilizer_states(n_qubits: int) -> np.ndarray:
     """All pure stabilizer states (rows), deduplicated up to global phase, by
@@ -163,14 +157,14 @@ def enumerate_stabilizer_states(n_qubits: int) -> np.ndarray:
     ]
     start = np.zeros(1 << n_qubits, dtype=complex)
     start[0] = 1.0
-    found: dict[bytes, np.ndarray] = {_canonical_key(start): start}
+    found: dict[bytes, np.ndarray] = {_canonical_phase(start): start}
     frontier = [start]
     while frontier:
         nxt = []
         for psi in frontier:
             for g in generators:
                 phi = apply_gate(g, psi, n_qubits)
-                key = _canonical_key(phi)
+                key = _canonical_phase(phi)
                 if key not in found:
                     found[key] = phi
                     nxt.append(phi)
@@ -253,28 +247,14 @@ def bounds_report(state: np.ndarray, n: int) -> BoundsReport:
 BELL_MAGIC_QUBIT_GUARD = 8
 
 
-def _two_copy_overlaps(state: np.ndarray) -> np.ndarray:
-    """|<psi|sigma_r|psi*>| for every r, indexed by the interleaved index."""
-    psi = np.asarray(state, dtype=complex)
-    nq = n_qubits_of(psi)
-    dim = 1 << nq
-    k = np.arange(dim)
-    out = np.empty(4**nq)
-    for x in range(dim):
-        c = psi.conj()[k] * psi.conj()[k ^ x]
-        w = wht(c)  # sum_k (-1)^{z.k} psi*_k psi*_{k^x}
-        zs = np.arange(dim)
-        idx = interleave_zx(zs, np.full(dim, x), nq)
-        # |i^{|z&x|} (-1)^{z.x} w| = |w|
-        out[idx] = np.abs(w)
-    return out
-
-
 def bell_sampling_distribution_exact(state: np.ndarray) -> np.ndarray:
     """P(r) = 2^-N |<psi|sigma_r|psi*>|^2, the Bell-measurement distribution of
     two identical copies, computed from the Pauli algebra."""
-    nq = n_qubits_of(state)
-    return _two_copy_overlaps(state) ** 2 / 2**nq
+    conj = np.asarray(state, dtype=complex).conj()
+    nq = n_qubits_of(conj)
+    return _pauli_transform(
+        nq, lambda x, k: conj[k] * conj[k ^ x], lambda v: np.abs(v) ** 2 / 2**nq
+    )
 
 
 def bell_magic(state: np.ndarray) -> tuple[float, float]:
@@ -290,9 +270,7 @@ def bell_magic(state: np.ndarray) -> tuple[float, float]:
     size = p.shape[0]
     q = wht(wht(p) ** 2) / size  # XOR self-convolution
     # sum over anticommuting pairs via the symplectic-form WHT identity
-    q_hat = wht(q)
-    sympl = q_hat[swap_pair_bits(np.arange(size), nq)]
-    b = float(np.sum(q * (1.0 - sympl)))
+    b = float(np.sum(q * (1.0 - symplectic_wht(q, nq))))
     b = max(b, 0.0)
     additive = float(-np.log2(max(1.0 - b, 1e-300)))
     return b, additive

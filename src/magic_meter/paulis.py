@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import deinterleave_index, interleave_zx, popcount, wht
+from .states import UNITARY_QUBIT_GUARD
 
 _CHAR_TO_PAIR = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _PAIR_TO_CHAR = {v: k for k, v in _CHAR_TO_PAIR.items()}
@@ -73,15 +74,19 @@ class PauliString:
         return "".join(out)
 
     def to_matrix(self) -> np.ndarray:
-        """Dense 2^N x 2^N matrix (guarded to n_qubits <= 10)."""
-        if self.n_qubits > 10:
-            raise CapacityError("dense Pauli matrices are guarded to 10 qubits")
+        """Dense 2^N x 2^N matrix (guarded like dense unitaries)."""
+        if self.n_qubits > UNITARY_QUBIT_GUARD:
+            raise CapacityError(f"dense Pauli matrices are guarded to {UNITARY_QUBIT_GUARD} qubits")
         dim = 1 << self.n_qubits
         k = np.arange(dim)
         mat = np.zeros((dim, dim), dtype=complex)
-        phase = (1j ** int(popcount(self.z & self.x))) * (-1.0) ** popcount(self.z & k)
-        mat[k ^ self.x, k] = phase
+        mat[k ^ self.x, k] = _phase(self, k)
         return mat
+
+
+def _phase(sigma: PauliString, k: np.ndarray) -> np.ndarray:
+    """i^{|z&x|} (-1)^{z.k}, the phase in sigma|k> = phase |k ^ x>."""
+    return (1j ** int(popcount(sigma.z & sigma.x))) * (-1.0) ** popcount(sigma.z & k)
 
 
 def pauli_from_bits(bits) -> PauliString:
@@ -122,7 +127,7 @@ def apply_pauli(sigma: PauliString, psi: np.ndarray) -> np.ndarray:
         raise ValueError("dimension mismatch")
     k = np.arange(dim)
     out = np.empty_like(psi, dtype=complex)
-    phase = (1j ** int(popcount(sigma.z & sigma.x))) * (-1.0) ** popcount(sigma.z & k)
+    phase = _phase(sigma, k)
     if psi.ndim == 2:
         out[k ^ sigma.x, :] = phase[:, None] * psi
     else:
@@ -148,8 +153,7 @@ def expectation(state: np.ndarray, sigma: PauliString) -> float:
         if state.shape != (dim, dim):
             raise ValueError("dimension mismatch")
         k = np.arange(dim)
-        phase = (1j ** int(popcount(sigma.z & sigma.x))) * (-1.0) ** popcount(sigma.z & k)
-        val = complex(np.sum(phase * state[k, k ^ sigma.x]))
+        val = complex(np.sum(_phase(sigma, k) * state[k, k ^ sigma.x]))
     else:
         raise ValueError("state must be a vector or a square matrix")
     return _real_or_raise(val, f"<{sigma}>")
@@ -166,13 +170,38 @@ def commutes(sigma: PauliString, tau: PauliString) -> bool:
 SPECTRUM_QUBIT_GUARD = 12
 
 
+def _pauli_transform(n: int, rows, finish, chunk: int = 512) -> np.ndarray:
+    """The one Pauli-transform kernel over all 4^N strings sigma = (z, x).
+
+    For each chunk of X-masks, ``rows(x, k)`` gives the block f[x, k]
+    (x a column of masks, k a row of basis indices).  One Walsh-Hadamard
+    transform over k and the phase i^{|z&x|} turn it into
+    v[x, z] = i^{|z&x|} sum_k (-1)^{z.k} f[x, k], and ``finish`` maps v to the
+    real values stored at the interleaved index of (z, x).
+    """
+    dim = 1 << n
+    k = np.arange(dim)[None, :]  # also the Z-masks z
+    out = np.empty(4**n)
+    for start in range(0, dim, chunk):
+        xs = np.arange(start, min(start + chunk, dim))[:, None]
+        vals = 1j ** popcount(k & xs) * wht(rows(xs, k))
+        out[interleave_zx(k, xs, n).ravel()] = finish(vals).ravel()
+    return out
+
+
+def _real_part(vals: np.ndarray) -> np.ndarray:
+    worst_imag = float(np.max(np.abs(vals.imag)))
+    if worst_imag > IMAG_TOL:
+        raise ConsistencyError(f"Pauli expectations have imaginary residue {worst_imag:.3e}")
+    return vals.real
+
+
 def all_expectations(state: np.ndarray, chunk: int = 512) -> np.ndarray:
     """All 4^N Pauli expectation values, indexed by the interleaved index.
 
-    Works for statevectors and density matrices.  Internally evaluates, for
-    every X-mask x, the Walsh-Hadamard transform over k of
-    conj(psi_{k^x}) psi_k (or rho[k, k^x]), which is the literal Pauli sum
-    vectorized over the Z-masks.
+    Works for statevectors and density matrices: the Pauli transform of
+    conj(psi_{k^x}) psi_k (or rho[k, k^x]), the literal Pauli sum vectorized
+    over the Z-masks.
     """
     state = np.asarray(state)
     n = int(np.log2(state.shape[0]))
@@ -180,26 +209,9 @@ def all_expectations(state: np.ndarray, chunk: int = 512) -> np.ndarray:
         raise ValueError("dimension is not a power of two")
     if n > SPECTRUM_QUBIT_GUARD:
         raise CapacityError(f"full Pauli spectrum guarded to {SPECTRUM_QUBIT_GUARD} qubits")
-    dim = 1 << n
-    k = np.arange(dim)
-    out = np.empty(4**n)
-    worst_imag = 0.0
-    for start in range(0, dim, chunk):
-        xs = np.arange(start, min(start + chunk, dim))
-        if state.ndim == 1:
-            rows = state[k[None, :] ^ xs[:, None]].conj() * state[None, :]
-        else:
-            rows = state[k[None, :], k[None, :] ^ xs[:, None]]
-        w = wht(rows)  # w[x - start, z]
-        zs = np.arange(dim)
-        phases = 1j ** popcount(zs[None, :] & xs[:, None])
-        vals = phases * w
-        worst_imag = max(worst_imag, float(np.max(np.abs(vals.imag))))
-        idx = interleave_zx(zs[None, :], xs[:, None], n)
-        out[idx.ravel()] = vals.real.ravel()
-    if worst_imag > IMAG_TOL:
-        raise ConsistencyError(f"Pauli expectations have imaginary residue {worst_imag:.3e}")
-    return out
+    if state.ndim == 1:
+        return _pauli_transform(n, lambda x, k: state[k ^ x].conj() * state[k], _real_part, chunk)
+    return _pauli_transform(n, lambda x, k: state[k, k ^ x], _real_part, chunk)
 
 
 class PauliSpectrum:

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-NORM_TOL = 1e-10
-
 STATEVECTOR_QUBIT_GUARD = 12
 DENSITY_QUBIT_GUARD = 8
 UNITARY_QUBIT_GUARD = 10  # dense 2^N x 2^N unitaries: 16 MB at the guard
@@ -22,28 +20,6 @@ def n_qubits_of(state: np.ndarray) -> int:
     if 1 << n != dim:
         raise ValueError("dimension is not a power of two")
     return n
-
-
-def check_state(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError("expected a statevector")
-    if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
-        raise ValueError("statevector is not normalized")
-    return psi
-
-
-def check_density(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("expected a square density matrix")
-    if abs(np.trace(rho) - 1.0) > NORM_TOL:
-        raise ValueError("density matrix trace differs from 1")
-    if np.max(np.abs(rho - rho.conj().T)) > NORM_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    if np.min(np.linalg.eigvalsh(rho)) < -tol:
-        raise ValueError("density matrix has negative eigenvalues")
-    return rho
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
