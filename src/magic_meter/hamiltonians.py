@@ -37,9 +37,8 @@ class PauliSum:
     def to_dense(self) -> np.ndarray:
         dim = 1 << self.n_qubits
         h = np.zeros((dim, dim), dtype=complex)
-        basis = np.eye(dim, dtype=complex)
         for g, sigma in self.terms:
-            h += g * apply_pauli(sigma, basis)
+            h += g * sigma.to_matrix()
         return h
 
     def apply(self, psi: np.ndarray) -> np.ndarray:

@@ -169,8 +169,11 @@ def commutes(sigma: PauliString, tau: PauliString) -> bool:
 
 SPECTRUM_QUBIT_GUARD = 12
 
+# X-masks per wht call; perfbench's SPECTRUM_CHUNK derives bits.wht.calls from it.
+_CHUNK = 512
 
-def _pauli_transform(n: int, rows, finish, chunk: int = 512) -> np.ndarray:
+
+def _pauli_transform(n: int, rows, finish) -> np.ndarray:
     """The one Pauli-transform kernel over all 4^N strings sigma = (z, x).
 
     For each chunk of X-masks, ``rows(x, k)`` gives the block f[x, k]
@@ -182,8 +185,8 @@ def _pauli_transform(n: int, rows, finish, chunk: int = 512) -> np.ndarray:
     dim = 1 << n
     k = np.arange(dim)[None, :]  # also the Z-masks z
     out = np.empty(4**n)
-    for start in range(0, dim, chunk):
-        xs = np.arange(start, min(start + chunk, dim))[:, None]
+    for start in range(0, dim, _CHUNK):
+        xs = np.arange(start, min(start + _CHUNK, dim))[:, None]
         vals = 1j ** popcount(k & xs) * wht(rows(xs, k))
         out[interleave_zx(k, xs, n).ravel()] = finish(vals).ravel()
     return out
@@ -196,7 +199,7 @@ def _real_part(vals: np.ndarray) -> np.ndarray:
     return vals.real
 
 
-def all_expectations(state: np.ndarray, chunk: int = 512) -> np.ndarray:
+def all_expectations(state: np.ndarray) -> np.ndarray:
     """All 4^N Pauli expectation values, indexed by the interleaved index.
 
     Works for statevectors and density matrices: the Pauli transform of
@@ -210,8 +213,8 @@ def all_expectations(state: np.ndarray, chunk: int = 512) -> np.ndarray:
     if n > SPECTRUM_QUBIT_GUARD:
         raise CapacityError(f"full Pauli spectrum guarded to {SPECTRUM_QUBIT_GUARD} qubits")
     if state.ndim == 1:
-        return _pauli_transform(n, lambda x, k: state[k ^ x].conj() * state[k], _real_part, chunk)
-    return _pauli_transform(n, lambda x, k: state[k, k ^ x], _real_part, chunk)
+        return _pauli_transform(n, lambda x, k: state[k ^ x].conj() * state[k], _real_part)
+    return _pauli_transform(n, lambda x, k: state[k, k ^ x], _real_part)
 
 
 class PauliSpectrum:

@@ -104,23 +104,29 @@ def test_commutes_examples():
     assert commutes(pauli_from_string("IY"), pauli_from_string("ZY"))
 
 
+def _per_string(state, nq):
+    return [expectation(state, pauli_from_index(idx, nq)) for idx in range(4**nq)]
+
+
 def test_all_expectations_against_direct_loop():
     rng = np.random.default_rng(11)
     for nq in (1, 2, 3):
-        psi = haar_random_state(nq, rng)
-        table = all_expectations(psi)
-        for idx in range(4**nq):
-            p = pauli_from_index(idx, nq)
-            assert table[idx] == pytest.approx(expectation(psi, p), abs=1e-10)
+        for _ in range(5):
+            psi = haar_random_state(nq, rng)
+            np.testing.assert_allclose(
+                all_expectations(psi), _per_string(psi, nq), rtol=0, atol=1e-13
+            )
 
 
 def test_all_expectations_density_input():
     rng = np.random.default_rng(12)
-    rho = random_density_matrix(2, rng)
-    table = all_expectations(rho)
-    for idx in range(16):
-        p = pauli_from_index(idx, 2)
-        assert table[idx] == pytest.approx(expectation(rho, p), abs=1e-10)
+    for nq in (1, 2, 3):
+        for rank in sorted({1, 2, 1 << nq}):
+            for _ in range(3):
+                rho = random_density_matrix(nq, rng, rank=rank)
+                np.testing.assert_allclose(
+                    all_expectations(rho), _per_string(rho, nq), rtol=0, atol=1e-13
+                )
 
 
 def test_spectrum_zero_state():

@@ -1,4 +1,4 @@
-"""Property tests of the Pauli-transform kernel and of the Bell distributions.
+"""Property tests of the Bell distributions.
 
 The mixed-state Bell distribution is the symplectic Fourier transform of the
 product of two Pauli spectra.  Its reference below is the literal mixture:
@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magic_meter.estimators import bell_distribution
-from magic_meter.paulis import all_expectations, expectation, pauli_from_index
 from magic_meter.states import haar_random_state, random_density_matrix
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
@@ -38,15 +37,6 @@ def bell_distribution_by_eigenpairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _density(n: int, seed: int, rank_draw: int) -> np.ndarray:
     """Random density matrix whose rank runs over 1..2^n with rank_draw."""
     return random_density_matrix(n, np.random.default_rng(seed), rank=1 + rank_draw % (1 << n))
-
-
-@PROPERTY
-@given(n=qubits, seed=seeds, mixed=st.booleans())
-def test_all_expectations_equals_the_per_string_loop(n, seed, mixed):
-    rng = np.random.default_rng(seed)
-    state = random_density_matrix(n, rng) if mixed else haar_random_state(n, rng)
-    literal = [expectation(state, pauli_from_index(i, n)) for i in range(4**n)]
-    np.testing.assert_allclose(all_expectations(state), literal, rtol=0, atol=1e-13)
 
 
 @PROPERTY
