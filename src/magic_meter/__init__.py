@@ -1,6 +1,7 @@
 """magic-meter: stabilizer entropies, Bell-measurement estimators and
 nonstabilizerness diagnostics for small quantum systems."""
 
+from ._guards import CapacityError
 from .circuits import (
     Circuit,
     Gate,

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .paulis import CapacityError, PauliString, apply_pauli, pauli_from_string
-from .states import STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, zero_state
+from ._guards import STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity
+from .paulis import PauliString, apply_pauli, pauli_from_string
+from .states import zero_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -222,8 +223,7 @@ def apply_gate(gate: Gate, psi: np.ndarray, n: int) -> np.ndarray:
 def apply_circuit(circuit: Circuit, psi: np.ndarray | None = None) -> np.ndarray:
     """Run the circuit on the given statevector (default |0...0>)."""
     n = circuit.n_qubits
-    if n > STATEVECTOR_QUBIT_GUARD:
-        raise CapacityError(f"statevector simulation guarded to {STATEVECTOR_QUBIT_GUARD} qubits")
+    check_capacity(n, STATEVECTOR_QUBIT_GUARD, "qubits in statevector simulation")
     psi = zero_state(n) if psi is None else np.asarray(psi, dtype=complex)
     if psi.shape[0] != 1 << n:
         raise ValueError("state dimension differs from circuit width")
@@ -235,8 +235,7 @@ def apply_circuit(circuit: Circuit, psi: np.ndarray | None = None) -> np.ndarray
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (columns = images of basis states)."""
     n = circuit.n_qubits
-    if n > UNITARY_QUBIT_GUARD:
-        raise CapacityError(f"dense unitaries guarded to {UNITARY_QUBIT_GUARD} qubits")
+    check_capacity(n, UNITARY_QUBIT_GUARD, "qubits in dense unitaries")
     u = np.eye(1 << n, dtype=complex)
     for gate in circuit.gates:
         u = apply_gate(gate, u, n)

@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from ._guards import CapacityError
 from .circuits import CircuitParseError, apply_circuit, load_circuit
 from .estimators import (
     estimate_bell_magic,
@@ -38,7 +39,7 @@ from .oracles import (
     stabilizer_fidelity,
     tsallis_stabilizer_entropy,
 )
-from .paulis import CapacityError, pauli_from_string
+from .paulis import pauli_from_string
 from .states import haar_random_state, plus_state, t_state, zero_state
 
 EXIT_OK = 0
@@ -56,13 +57,16 @@ def _default_seed() -> int:
     return int(env) if env else 0
 
 
+def _load_circuit(path: str):
+    try:
+        return load_circuit(path)
+    except FileNotFoundError as exc:
+        raise SemanticError(f"circuit file not found: {exc}") from exc
+
+
 def _resolve_state(args) -> np.ndarray:
     if args.circuit:
-        try:
-            circuit = load_circuit(args.circuit)
-        except FileNotFoundError as exc:
-            raise SemanticError(f"circuit file not found: {exc}") from exc
-        return apply_circuit(circuit)
+        return apply_circuit(_load_circuit(args.circuit))
     name = (args.state or "zero").lower()
     nq = args.qubits or 1
     if name == "zero":
@@ -93,8 +97,18 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_exact(args) -> int:
-    psi = _resolve_state(args)
     measure = args.measure
+    if measure == "otoc":
+        # the OTOC reads the circuit's unitary, not the state it prepares
+        if not args.circuit:
+            raise SemanticError("the otoc measure needs --circuit")
+        if not (args.sigma and args.sigma_prime):
+            raise SemanticError("the otoc measure needs --sigma and --sigma-prime")
+        circuit = _load_circuit(args.circuit)
+        sigma, sigma_prime = pauli_from_string(args.sigma), pauli_from_string(args.sigma_prime)
+        _print_values({"otoc": otoc(circuit, sigma, sigma_prime, args.n)}, args)
+        return EXIT_OK
+    psi = _resolve_state(args)
     if measure == "A_n":
         values = {"A_n": pauli_moment(psi, args.n)}
     elif measure == "M_n":
@@ -110,22 +124,6 @@ def _cmd_exact(args) -> int:
         values = {"bell_magic": b, "bell_magic_additive": badd}
     elif measure == "fstab":
         values = {"fstab": stabilizer_fidelity(psi)}
-    elif measure == "otoc":
-        if not args.circuit:
-            raise SemanticError("the otoc measure needs --circuit")
-        if not (args.sigma and args.sigma_prime):
-            raise SemanticError("the otoc measure needs --sigma and --sigma-prime")
-        circuit = load_circuit(args.circuit)
-        from .circuits import circuit_unitary
-
-        values = {
-            "otoc": otoc(
-                circuit_unitary(circuit),
-                pauli_from_string(args.sigma),
-                pauli_from_string(args.sigma_prime),
-                args.n,
-            )
-        }
     else:
         raise SemanticError(f"unknown measure {measure!r}")
     _print_values(values, args)
@@ -154,13 +152,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_gradient(args) -> int:
-    try:
-        circuit = load_circuit(args.circuit)
-    except FileNotFoundError as exc:
-        raise SemanticError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
     res = estimate_moment_gradient(
-        circuit, args.param_index, args.n, args.shots, rng,
+        _load_circuit(args.circuit), args.param_index, args.n, args.shots, rng,
         allow_even=args.allow_even, seed=args.seed,
     )
     _emit(res.to_json(), args.output)

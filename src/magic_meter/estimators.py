@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import popcount, spread_bits, symplectic_wht, xor_convolve
+from ._guards import STATEVECTOR_QUBIT_GUARD, check_capacity
 from .circuits import Circuit, apply_circuit
-from .paulis import CapacityError, all_expectations, expectation, pauli_from_index
-from .states import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, n_qubits_of
+from .paulis import all_expectations, expectation, pauli_from_index
+from .states import n_qubits_of
 
 _BELL_4x4 = None
 
@@ -67,11 +68,8 @@ def bell_distribution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != b.ndim:
         raise ValueError("copies must both be pure or both mixed")
     if a.ndim == 1:
-        if n > STATEVECTOR_QUBIT_GUARD:  # per copy; the joint register has 2N qubits
-            raise CapacityError(f"Bell register guarded to 2x{STATEVECTOR_QUBIT_GUARD} qubits")
+        check_capacity(n, STATEVECTOR_QUBIT_GUARD, "qubits per copy in a Bell register")
         return np.abs(_bell_rotate(_interleave_copies(a, b, n), n)) ** 2
-    if n > DENSITY_QUBIT_GUARD:
-        raise CapacityError(f"mixed-state Bell sampling guarded to {DENSITY_QUBIT_GUARD} qubits")
     dist = symplectic_wht(all_expectations(a.T) * all_expectations(b), n) / 4**n
     return np.maximum(dist, 0.0)  # zero probabilities can round to -1e-18
 

@@ -7,15 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._guards import UNITARY_QUBIT_GUARD, check_capacity
 from .paulis import (
-    CapacityError,
     PauliString,
     apply_pauli,
     commutes,
     pauli_from_index,
     pauli_from_string,
 )
-from .states import UNITARY_QUBIT_GUARD, n_qubits_of
+from .states import n_qubits_of
 
 HERMITIAN_TOL = 1e-10
 
@@ -111,8 +111,7 @@ class Evolver:
 
     def __init__(self, hamiltonian):
         n = hamiltonian.n_qubits if isinstance(hamiltonian, PauliSum) else n_qubits_of(hamiltonian)
-        if n > UNITARY_QUBIT_GUARD:
-            raise CapacityError(f"dense evolution guarded to {UNITARY_QUBIT_GUARD} qubits")
+        check_capacity(n, UNITARY_QUBIT_GUARD, "qubits in dense evolution")
         self.eigvals, self.eigvecs = np.linalg.eigh(dense_of(hamiltonian))
 
     def unitary(self, t: float) -> np.ndarray:

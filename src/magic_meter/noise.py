@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
+from ._guards import DENSITY_QUBIT_GUARD, check_capacity
 from .circuits import Circuit, Gate
-from .paulis import CapacityError
-from .states import DENSITY_QUBIT_GUARD, n_qubits_of, purity, zero_state
+from .states import n_qubits_of, purity, zero_state
 
 
 class NoiseKind(str, Enum):
@@ -32,6 +33,11 @@ class NoiseModel:
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("noise strength must lie in [0, 1]")
         object.__setattr__(self, "kind", NoiseKind(self.kind))
+
+    @cached_property
+    def kraus(self) -> list[np.ndarray]:
+        """The single-qubit Kraus operators, built once per model."""
+        return _kraus_for(self)
 
 
 def _apply_kraus_single(rho: np.ndarray, kraus: list[np.ndarray], qubit: int, n: int) -> np.ndarray:
@@ -82,11 +88,10 @@ def apply_channel(rho: np.ndarray, model: NoiseModel, qubits=None) -> np.ndarray
         dim = rho.shape[0]
         return (1 - model.p) * rho + model.p * np.trace(rho) * np.eye(dim) / dim
     qubits = range(1, n + 1) if qubits is None else qubits
-    kraus = _kraus_for(model)
     for q in qubits:
         if not (1 <= q <= n):
             raise ValueError(f"qubit {q} outside register")
-        rho = _apply_kraus_single(rho, kraus, q, n)
+        rho = _apply_kraus_single(rho, model.kraus, q, n)
     return rho
 
 
@@ -102,8 +107,7 @@ def noisy_circuit_state(circuit: Circuit, model: NoiseModel, rho=None) -> np.nda
     """Density matrix after the circuit with the channel applied after each
     gate on the qubits the gate touched."""
     n = circuit.n_qubits
-    if n > DENSITY_QUBIT_GUARD:
-        raise CapacityError(f"density-matrix simulation guarded to {DENSITY_QUBIT_GUARD} qubits")
+    check_capacity(n, DENSITY_QUBIT_GUARD, "qubits in density-matrix simulation")
     if rho is None:
         psi = zero_state(n)
         rho = np.outer(psi, psi.conj())

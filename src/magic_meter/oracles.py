@@ -15,20 +15,16 @@ from functools import lru_cache
 import numpy as np
 
 from ._bits import symplectic_wht, wht
+from ._guards import BELL_MAGIC_QUBIT_GUARD, GAMMA_COPY_GUARD, STABILIZER_ENUM_GUARD, check_capacity
 from .circuits import Circuit, Gate, _canonical_phase, apply_gate, circuit_unitary, gate_cnot
 from .paulis import (
-    SPECTRUM_QUBIT_GUARD,
-    CapacityError,
     PauliString,
     _pauli_transform,
     all_expectations,
     apply_pauli,
     pauli_from_index,
 )
-from .states import DENSITY_QUBIT_GUARD, choi_state, n_qubits_of
-
-STABILIZER_ENUM_GUARD = 3
-GAMMA_COPY_GUARD = 4
+from .states import choi_state, n_qubits_of
 
 
 def pauli_moment(state: np.ndarray, n) -> float:
@@ -39,9 +35,6 @@ def pauli_moment(state: np.ndarray, n) -> float:
     """
     state = np.asarray(state)
     nq = n_qubits_of(state)
-    guard = SPECTRUM_QUBIT_GUARD if state.ndim == 1 else DENSITY_QUBIT_GUARD
-    if nq > guard:
-        raise CapacityError(f"{nq}-qubit Pauli sum exceeds the {guard}-qubit guard")
     if n <= 0:
         raise ValueError("moment index must be positive")
     values = all_expectations(state)
@@ -78,8 +71,9 @@ def von_neumann_stabilizer_entropy(state: np.ndarray) -> float:
 def moment_operator(n: int) -> np.ndarray:
     """The single-site 2n-copy observable (1/2) sum_k sigma_k^{tensor 2n}
     whose per-site expectation builds the n-th Pauli moment."""
-    if n < 1 or n > GAMMA_COPY_GUARD:
-        raise CapacityError(f"dense moment operator guarded to n <= {GAMMA_COPY_GUARD}")
+    if n < 1:
+        raise ValueError("moment index must be at least 1")
+    check_capacity(n, GAMMA_COPY_GUARD, "moment index n of the dense moment operator")
     paulis = [np.eye(2, dtype=complex)] + [
         pauli_from_index(i, 1).to_matrix() for i in (1, 2, 3)
     ]
@@ -145,8 +139,7 @@ def clifford_average_otoc(u, n: int) -> float:
 def enumerate_stabilizer_states(n_qubits: int) -> np.ndarray:
     """All pure stabilizer states (rows), deduplicated up to global phase, by
     orbit closure of |0...0> under H, S and CNOT.  Cached; treat as read-only."""
-    if n_qubits > STABILIZER_ENUM_GUARD:
-        raise CapacityError(f"enumeration guarded to {STABILIZER_ENUM_GUARD} qubits")
+    check_capacity(n_qubits, STABILIZER_ENUM_GUARD, "qubits in stabilizer enumeration")
     generators = [Gate("H", (q,)) for q in range(1, n_qubits + 1)]
     generators += [Gate("S", (q,)) for q in range(1, n_qubits + 1)]
     generators += [
@@ -244,9 +237,6 @@ def bounds_report(state: np.ndarray, n: int) -> BoundsReport:
 
 # -- Bell magic ----------------------------------------------------------------
 
-BELL_MAGIC_QUBIT_GUARD = 8
-
-
 def bell_sampling_distribution_exact(state: np.ndarray) -> np.ndarray:
     """P(r) = 2^-N |<psi|sigma_r|psi*>|^2, the Bell-measurement distribution of
     two identical copies, computed from the Pauli algebra."""
@@ -264,8 +254,7 @@ def bell_magic(state: np.ndarray) -> tuple[float, float]:
     distribution (XOR self-convolution of the Bell-sampling distribution).
     """
     nq = n_qubits_of(state)
-    if nq > BELL_MAGIC_QUBIT_GUARD:
-        raise CapacityError(f"Bell magic guarded to {BELL_MAGIC_QUBIT_GUARD} qubits")
+    check_capacity(nq, BELL_MAGIC_QUBIT_GUARD, "qubits in Bell magic")
     p = bell_sampling_distribution_exact(state)
     size = p.shape[0]
     q = wht(wht(p) ** 2) / size  # XOR self-convolution

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import deinterleave_index, interleave_zx, popcount, wht
-from .states import UNITARY_QUBIT_GUARD
+from ._guards import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity
+from .states import n_qubits_of
 
 _CHAR_TO_PAIR = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _PAIR_TO_CHAR = {v: k for k, v in _CHAR_TO_PAIR.items()}
@@ -22,10 +23,6 @@ IMAG_TOL = 1e-8
 
 class ConsistencyError(RuntimeError):
     """A supposedly real quantity came out with a large imaginary residue."""
-
-
-class CapacityError(ValueError):
-    """The request exceeds the configured brute-force size guards."""
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,7 @@ class PauliString:
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^N x 2^N matrix (guarded like dense unitaries)."""
-        if self.n_qubits > UNITARY_QUBIT_GUARD:
-            raise CapacityError(f"dense Pauli matrices are guarded to {UNITARY_QUBIT_GUARD} qubits")
+        check_capacity(self.n_qubits, UNITARY_QUBIT_GUARD, "qubits in dense Pauli matrices")
         dim = 1 << self.n_qubits
         k = np.arange(dim)
         mat = np.zeros((dim, dim), dtype=complex)
@@ -167,8 +163,6 @@ def commutes(sigma: PauliString, tau: PauliString) -> bool:
     return int(overlap) % 2 == 0
 
 
-SPECTRUM_QUBIT_GUARD = 12
-
 # X-masks per wht call; perfbench's SPECTRUM_CHUNK derives bits.wht.calls from it.
 _CHUNK = 512
 
@@ -207,13 +201,11 @@ def all_expectations(state: np.ndarray) -> np.ndarray:
     over the Z-masks.
     """
     state = np.asarray(state)
-    n = int(np.log2(state.shape[0]))
-    if 1 << n != state.shape[0]:
-        raise ValueError("dimension is not a power of two")
-    if n > SPECTRUM_QUBIT_GUARD:
-        raise CapacityError(f"full Pauli spectrum guarded to {SPECTRUM_QUBIT_GUARD} qubits")
+    n = n_qubits_of(state)
     if state.ndim == 1:
+        check_capacity(n, STATEVECTOR_QUBIT_GUARD, "qubits in a pure-state Pauli spectrum")
         return _pauli_transform(n, lambda x, k: state[k ^ x].conj() * state[k], _real_part)
+    check_capacity(n, DENSITY_QUBIT_GUARD, "qubits in a density-matrix Pauli spectrum")
     return _pauli_transform(n, lambda x, k: state[k, k ^ x], _real_part)
 
 

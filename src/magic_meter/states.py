@@ -8,10 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-STATEVECTOR_QUBIT_GUARD = 12
-DENSITY_QUBIT_GUARD = 8
-UNITARY_QUBIT_GUARD = 10  # dense 2^N x 2^N unitaries: 16 MB at the guard
-
 
 def n_qubits_of(state: np.ndarray) -> int:
     """Qubit count of a statevector or density matrix."""

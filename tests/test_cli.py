@@ -70,7 +70,8 @@ def test_exact_otoc(capsys, t_circuit_file):
 
 
 def test_exact_otoc_over_unitary_guard_exit_three(capsys, tmp_path):
-    # a 13-qubit dense unitary would take 1 GB; the guard refuses it first
+    # a 13-qubit dense unitary would take 1 GB; the unitary guard (10) refuses
+    # it first, not the statevector guard (12) of an unneeded simulation
     path = tmp_path / "wide.txt"
     path.write_text(circuit_to_text(Circuit(13, (gate_h(1),))))
     code, _, err = run_cli(
@@ -79,7 +80,8 @@ def test_exact_otoc_over_unitary_guard_exit_three(capsys, tmp_path):
         "--sigma", "X" + "I" * 12, "--sigma-prime", "Z" + "I" * 12,
     )
     assert code == 3
-    assert "guarded" in err
+    assert "unitaries" in err
+    assert "guarded to 10" in err
 
 
 def test_estimate_alg1_t_state(capsys):

@@ -9,21 +9,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from magic_meter import CapacityError, _guards
 from magic_meter.circuits import Circuit, apply_circuit, circuit_unitary
 from magic_meter.estimators import bell_distribution
 from magic_meter.hamiltonians import Evolver, PauliSum
 from magic_meter.noise import NoiseKind, NoiseModel, noisy_circuit_state
 from magic_meter.oracles import (
-    BELL_MAGIC_QUBIT_GUARD,
-    GAMMA_COPY_GUARD,
-    STABILIZER_ENUM_GUARD,
     bell_magic,
     enumerate_stabilizer_states,
     moment_operator,
     pauli_moment,
 )
-from magic_meter.paulis import SPECTRUM_QUBIT_GUARD, CapacityError, PauliString, all_expectations
-from magic_meter.states import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD
+from magic_meter.paulis import PauliString, all_expectations
 
 
 def _vector(n):
@@ -34,57 +31,85 @@ def _matrix(n):
     return np.zeros((1 << n, 1 << n), dtype=complex)
 
 
-# entry point -> (guard, function, its arguments at a given width)
+# guard name -> entry point -> (function, its arguments at a given width,
+# a word the error message must contain)
 OVER_GUARD = {
-    "apply_circuit": (STATEVECTOR_QUBIT_GUARD, apply_circuit, lambda n: (Circuit(n),)),
-    "circuit_unitary": (UNITARY_QUBIT_GUARD, circuit_unitary, lambda n: (Circuit(n),)),
-    "noisy_circuit_state": (
-        DENSITY_QUBIT_GUARD,
-        noisy_circuit_state,
-        lambda n: (Circuit(n), NoiseModel(NoiseKind.DEPHASING, 0.1)),
-    ),
-    "all_expectations": (SPECTRUM_QUBIT_GUARD, all_expectations, lambda n: (_vector(n),)),
-    "pauli_moment_pure": (SPECTRUM_QUBIT_GUARD, pauli_moment, lambda n: (_vector(n), 2)),
-    "pauli_moment_density": (DENSITY_QUBIT_GUARD, pauli_moment, lambda n: (_matrix(n), 2)),
-    "bell_distribution_pure": (
-        STATEVECTOR_QUBIT_GUARD,
-        bell_distribution,
-        lambda n: (_vector(n), _vector(n)),
-    ),
-    "bell_distribution_mixed": (
-        DENSITY_QUBIT_GUARD,
-        bell_distribution,
-        lambda n: (_matrix(n), _matrix(n)),
-    ),
-    "bell_magic": (BELL_MAGIC_QUBIT_GUARD, bell_magic, lambda n: (_vector(n),)),
-    "pauli_to_matrix": (
-        UNITARY_QUBIT_GUARD,
-        PauliString.to_matrix,
-        lambda n: (PauliString(0, 1, n),),
-    ),
-    "evolver": (
-        UNITARY_QUBIT_GUARD,
-        Evolver,
-        lambda n: (PauliSum(((1.0, PauliString(0, 1, n)),), n),),
-    ),
-    "enumerate_stabilizer_states": (
-        STABILIZER_ENUM_GUARD,
-        enumerate_stabilizer_states,
-        lambda n: (n,),
-    ),
-    "moment_operator": (GAMMA_COPY_GUARD, moment_operator, lambda n: (n,)),
+    "STATEVECTOR_QUBIT_GUARD": {
+        "apply_circuit": (apply_circuit, lambda n: (Circuit(n),), "statevector"),
+        "all_expectations": (all_expectations, lambda n: (_vector(n),), "Pauli spectrum"),
+        "pauli_moment_pure": (pauli_moment, lambda n: (_vector(n), 2), "Pauli spectrum"),
+        "bell_distribution_pure": (
+            bell_distribution,
+            lambda n: (_vector(n), _vector(n)),
+            "Bell register",
+        ),
+    },
+    "DENSITY_QUBIT_GUARD": {
+        "noisy_circuit_state": (
+            noisy_circuit_state,
+            lambda n: (Circuit(n), NoiseModel(NoiseKind.DEPHASING, 0.1)),
+            "density-matrix",
+        ),
+        "all_expectations_density": (all_expectations, lambda n: (_matrix(n),), "density-matrix"),
+        "pauli_moment_density": (pauli_moment, lambda n: (_matrix(n), 2), "density-matrix"),
+        "bell_distribution_mixed": (
+            bell_distribution,
+            lambda n: (_matrix(n), _matrix(n)),
+            "density-matrix",
+        ),
+    },
+    "UNITARY_QUBIT_GUARD": {
+        "circuit_unitary": (circuit_unitary, lambda n: (Circuit(n),), "unitaries"),
+        # far past the guard: a 20-qubit unitary would take 16 TB
+        "circuit_unitary_20_qubits": (circuit_unitary, lambda n: (Circuit(20),), "unitaries"),
+        "pauli_to_matrix": (
+            PauliString.to_matrix,
+            lambda n: (PauliString(0, 1, n),),
+            "Pauli matrices",
+        ),
+        "evolver": (
+            Evolver,
+            lambda n: (PauliSum(((1.0, PauliString(0, 1, n)),), n),),
+            "evolution",
+        ),
+    },
+    "BELL_MAGIC_QUBIT_GUARD": {
+        "bell_magic": (bell_magic, lambda n: (_vector(n),), "Bell magic"),
+    },
+    "STABILIZER_ENUM_GUARD": {
+        "enumerate_stabilizer_states": (
+            enumerate_stabilizer_states,
+            lambda n: (n,),
+            "enumeration",
+        ),
+    },
+    "GAMMA_COPY_GUARD": {
+        "moment_operator": (moment_operator, lambda n: (n,), "moment operator"),
+    },
+}
+
+ENTRIES = {
+    entry: (name, *call) for name, calls in OVER_GUARD.items() for entry, call in calls.items()
 }
 
 
-@pytest.mark.parametrize("entry", sorted(OVER_GUARD))
+def test_every_guard_has_an_entry():
+    limits = {name for name in vars(_guards) if name.endswith("_GUARD")}
+    assert set(OVER_GUARD) == limits
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_guard_plus_one_raises_capacity_error_before_allocating(entry):
-    guard, function, arguments = OVER_GUARD[entry]
+    name, function, arguments, word = ENTRIES[entry]
+    guard = getattr(_guards, name)
     args = arguments(guard + 1)
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match=str(guard)):
+        with pytest.raises(CapacityError) as raised:
             function(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert word in str(raised.value)
+    assert f"guarded to {guard}" in str(raised.value)
     assert peak < 1 << 20

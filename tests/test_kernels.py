@@ -9,10 +9,10 @@ including the last qubit, whose trailing block has size 1.
 import numpy as np
 import pytest
 
+from magic_meter._guards import DENSITY_QUBIT_GUARD
 from magic_meter.circuits import (
     SINGLE_QUBIT_CLIFFORDS,
     Circuit,
-    apply_circuit,
     apply_gate,
     circuit_unitary,
     gate_clifford,
@@ -20,15 +20,8 @@ from magic_meter.circuits import (
     gate_s,
     gate_t,
 )
-from magic_meter.noise import NoiseKind, NoiseModel, _kraus_for, apply_channel, noisy_circuit_state
-from magic_meter.paulis import CapacityError
-from magic_meter.states import (
-    DENSITY_QUBIT_GUARD,
-    STATEVECTOR_QUBIT_GUARD,
-    UNITARY_QUBIT_GUARD,
-    haar_random_state,
-    random_density_matrix,
-)
+from magic_meter.noise import NoiseKind, NoiseModel, _kraus_for, apply_channel
+from magic_meter.states import haar_random_state, random_density_matrix
 
 RTOL, ATOL = 1e-14, 1e-15
 
@@ -107,18 +100,6 @@ def test_apply_channel_matches_tensordot_reference(n, kind, p):
         assert np.trace(got).real == pytest.approx(1.0, abs=1e-13)
         assert abs(np.trace(got).imag) < 1e-13
         np.testing.assert_allclose(got, got.conj().T, atol=1e-15)
-
-
-def test_layer1_size_guards_raise_capacity_error():
-    # empty circuits over each guard: the guard must fire before allocation
-    with pytest.raises(CapacityError, match="statevector"):
-        apply_circuit(Circuit(STATEVECTOR_QUBIT_GUARD + 1))
-    with pytest.raises(CapacityError, match="unitaries"):
-        circuit_unitary(Circuit(UNITARY_QUBIT_GUARD + 1))
-    with pytest.raises(CapacityError, match="unitaries"):
-        circuit_unitary(Circuit(20))
-    with pytest.raises(CapacityError, match="density-matrix"):
-        noisy_circuit_state(Circuit(DENSITY_QUBIT_GUARD + 1), NoiseModel(NoiseKind.DEPHASING, 0.1))
 
 
 def test_circuit_unitary_runs_past_the_density_guard():

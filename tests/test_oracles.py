@@ -30,7 +30,7 @@ from magic_meter.oracles import (
     tsallis_stabilizer_entropy,
     von_neumann_stabilizer_entropy,
 )
-from magic_meter.paulis import CapacityError, expectation, pauli_from_index, pauli_from_string
+from magic_meter.paulis import expectation, pauli_from_index, pauli_from_string
 from magic_meter.states import choi_state, haar_random_state, n_qubits_of, t_state, zero_state
 
 RNG = np.random.default_rng(20)
@@ -381,10 +381,3 @@ def test_tsallis_monotonicity_random_sweep():
 def test_tsallis_monotonicity_gap_errors():
     with pytest.raises(ValueError):
         tsallis_monotonicity_gap(zero_state(2), [], 2)
-
-
-def test_capacity_guards():
-    with pytest.raises(CapacityError):
-        enumerate_stabilizer_states(4)
-    with pytest.raises(CapacityError):
-        moment_operator(5)
