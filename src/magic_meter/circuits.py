@@ -78,6 +78,8 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError(f"a circuit needs at least 1 qubit, got {self.n_qubits}")
         for g in self.gates:
             _validate_gate(g, self.n_qubits)
 
@@ -162,10 +164,6 @@ def gate_rotation(axis: PauliString, angle: float) -> Gate:
 
 def gate_rz(q: int, angle: float) -> Gate:
     return Gate("RZ", (q,), angle=float(angle))
-
-
-def gate_rx(q: int, angle: float) -> Gate:
-    return Gate("RX", (q,), angle=float(angle))
 
 
 def gate_ry(q: int, angle: float) -> Gate:

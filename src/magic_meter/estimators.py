@@ -137,6 +137,11 @@ def _parity_values(xors: np.ndarray, n: int, n_qubits: int) -> np.ndarray:
     return np.where(np.asarray(xors) == 0, float(2**n_qubits), 0.0)
 
 
+def _check_repetitions(repetitions: int) -> None:
+    if repetitions < 1 or int(repetitions) != repetitions:
+        raise ValueError(f"repetitions must be an integer of at least 1, got {repetitions!r}")
+
+
 def _even_n_guard(n: int, allow_even: bool, what: str) -> None:
     if n % 2 == 0 and not allow_even:
         raise ValueError(
@@ -161,6 +166,7 @@ def estimate_moment_bell(
     """
     if n < 1 or int(n) != n:
         raise ValueError("moment index must be a positive integer")
+    _check_repetitions(repetitions)
     _even_n_guard(n, allow_even, "the two-copy Bell estimator")
     rng = np.random.default_rng(rng)
     nq = n_qubits_of(state)
@@ -180,6 +186,7 @@ def estimate_moment_conjugate(
     n >= 2."""
     if n < 2 or int(n) != n:
         raise ValueError("the conjugate-sampling estimator needs integer n >= 2")
+    _check_repetitions(repetitions)
     state = np.asarray(state, dtype=complex)
     if state.ndim != 1:
         raise ValueError("needs a pure state (the simulator builds psi*)")
@@ -234,6 +241,7 @@ def estimate_moment_gradient(
     n (B_+ - B_-)."""
     if n < 1 or int(n) != n:
         raise ValueError("moment index must be a positive integer")
+    _check_repetitions(repetitions)
     _even_n_guard(n, allow_even, "the gradient estimator")
     _check_rotation_index(circuit, k)
     rng = np.random.default_rng(rng)
@@ -323,6 +331,7 @@ def estimate_bell_magic(
     """Bell-magic estimator: each repetition draws two Bell-difference
     outcomes (two Bell samples each) and scores 2 when the corresponding Pauli
     strings anticommute."""
+    _check_repetitions(repetitions)
     rng = np.random.default_rng(rng)
     nq = n_qubits_of(state)
     dist = bell_distribution(state, state)

@@ -6,14 +6,16 @@ RNG streams derived from (seed, sweep index, instance index), and emits
 RecordRow tables: mean and sample standard deviation per quantity, plus the
 separate shot standard error for estimated quantities.
 
-All presets share one skeleton.  run_preset fills in the preset's default
-qubit count, grid and instance count for fields left as None and rejects
-non-positive sizes.  A preset's instance function ``one(i)`` returns
-``(values, tail)``: ``values[sweep, quantity]`` for every grid point and the
-per-instance analytic ``tail[quantity]``, which belongs to no grid point.
-_instances stacks them over instances into ``values[instance, sweep,
-quantity]``, and _rows turns such an array into rows, mean and ddof=1 std
-over instances with NaN entries skipped.
+All presets share one skeleton.  _PRESETS declares each preset's default
+qubit count, grid and instance count and the preset's own keys with their
+defaults; run_preset fills in the defaults for whatever the config leaves
+out and rejects non-positive sizes and keys the preset does not own.  A
+preset's instance function ``one(i)`` returns ``(values, tail)``:
+``values[sweep, quantity]`` for every grid point and the per-instance
+analytic ``tail[quantity]``, which belongs to no grid point.  _instances
+stacks them over instances into ``values[instance, sweep, quantity]``, and
+_rows turns such an array into rows, mean and ddof=1 std over instances
+with NaN entries skipped.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ import numpy as np
 from .circuits import (
     Circuit,
     circuit_unitary,
-    clifford_proxy_depth,
     doped_clifford_state,
     doped_layered_circuit,
     doped_layered_gate_layers,
@@ -121,6 +122,16 @@ def _parse_value(text: str):
     return _parse_scalar(text)
 
 
+def _as_tuple(value) -> tuple | None:
+    """A sequence as a tuple and a scalar as a 1-tuple (the flat format reads
+    `key = 4` as a scalar and `key = 4, 5` as a tuple); None stays None."""
+    if value is None:
+        return None
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return tuple(value)
+    return (value,)
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse a flat key = value config (or its JSON equivalent)."""
     if text.lstrip().startswith("{"):
@@ -153,39 +164,25 @@ def parse_config_text(text: str) -> ExperimentConfig:
         "threads",
         "output",
     }
-    params = {k: v for k, v in doc.items() if k not in known}
-
-    def as_tuple(v):
-        if v is None:
-            return None
-        if isinstance(v, (list, tuple)):
-            return tuple(v)
-        return (v,)
-
-    moments = doc.get("n", doc.get("moment_indices", (2, 3)))
+    # a field left out takes its default from the ExperimentConfig dataclass
+    moments = doc.get("n", doc.get("moment_indices", ExperimentConfig.moment_indices))
     return ExperimentConfig(
         preset=str(doc["preset"]),
         n_qubits=doc.get("qubits", doc.get("n_qubits")),
-        grid=as_tuple(doc.get("grid")),
+        grid=_as_tuple(doc.get("grid")),
         instances=doc.get("instances"),
-        shots=int(doc.get("shots", 1000)),
-        moment_indices=tuple(int(m) for m in as_tuple(moments)),
+        shots=int(doc.get("shots", ExperimentConfig.shots)),
+        moment_indices=tuple(int(m) for m in _as_tuple(moments)),
         seed=None if doc.get("seed") is None else int(doc["seed"]),
-        threads=int(doc.get("threads", 0)),
+        threads=int(doc.get("threads", ExperimentConfig.threads)),
         output=doc.get("output"),
-        params=params,
+        params={k: v for k, v in doc.items() if k not in known},
     )
 
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def _as_tuple(value) -> tuple:
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return tuple(value)
-    return (value,)
 
 
 def _instance_rng(seed: int, *key: int) -> np.random.Generator:
@@ -314,7 +311,7 @@ def _spot_check_estimates(grid, names, values: np.ndarray, moment_indices, seed:
 
 def _preset_doped_clifford(config: ExperimentConfig) -> list[RecordRow]:
     nq, grid = config.n_qubits, config.grid
-    depth = config.params.get("clifford_depth", clifford_proxy_depth(nq))
+    depth = config.params["clifford_depth"]
     names = [q.format(n=n) for n in config.moment_indices for q in _DOPED_QUANTITIES]
     names += ["fstab_exact"] if nq <= 3 else []
 
@@ -332,7 +329,7 @@ def _preset_doped_clifford(config: ExperimentConfig) -> list[RecordRow]:
     values, _ = _instances(config, one)
     _spot_check_estimates(grid, names, values, config.moment_indices, config.seed)
     rows = _rows(grid, names, values, ["estimated" if "_est" in q else "exact" for q in names])
-    haar_samples = int(config.params.get("haar_samples", 2000))
+    haar_samples = int(config.params["haar_samples"])
     for n in config.moment_indices:
         ref = haar_reference(nq, n, haar_samples, _instance_rng(config.seed, 10_000 + n))
         rows.append(RecordRow(float("nan"), f"T{n}_haar", ref["tsallis_mean"], ref["tsallis_se"], haar_samples, "analytic"))
@@ -361,7 +358,7 @@ def _depths(grid) -> tuple[int, ...]:
 def _preset_scrambling_depth(config: ExperimentConfig) -> list[RecordRow]:
     nq, depths = config.n_qubits, _depths(config.grid)
     depth_max = max(depths)
-    tgate_counts = tuple(int(t) for t in _as_tuple(config.params.get("tgates", (0, 4, 16))))
+    tgate_counts = tuple(int(t) for t in config.params["tgates"])
     x1, zn = _edge_paulis(nq)
     psi0 = zero_state(nq)
     rows: list[RecordRow] = []
@@ -422,9 +419,8 @@ def _preset_gue_time(config: ExperimentConfig) -> list[RecordRow]:
 
 
 def _preset_random_pauli(config: ExperimentConfig) -> list[RecordRow]:
-    terms = _as_tuple(config.params.get("k_terms", (4, 16, 70)))
     rows: list[RecordRow] = []
-    for k in terms:
+    for k in config.params["k_terms"]:
         rows += _time_sweep(
             config, lambda nq, rng, k=int(k): random_pauli_hamiltonian(nq, k, rng), f"_K{int(k)}"
         )
@@ -432,10 +428,9 @@ def _preset_random_pauli(config: ExperimentConfig) -> list[RecordRow]:
 
 
 def _preset_ising(config: ExperimentConfig) -> list[RecordRow]:
-    disorder = _as_tuple(config.params.get("disorder", (0.5, 5.0)))
-    delta = float(config.params.get("delta", 0.2))
+    delta = float(config.params["delta"])
     rows: list[RecordRow] = []
-    for w in disorder:
+    for w in config.params["disorder"]:
         rows += _time_sweep(
             config,
             lambda nq, rng, w=float(w): ising_hamiltonian(nq, delta, w, rng),
@@ -483,7 +478,7 @@ def product_state_d_min(n_qubits: int, s: float) -> float:
 
 
 def _preset_monotone_relation(config: ExperimentConfig) -> list[RecordRow]:
-    counts = [int(c) for c in _as_tuple(config.params.get("qubit_counts", (1, 2, 3, 4)))]
+    counts = [int(c) for c in config.params["qubit_counts"]]
 
     def point(nq: int, s: float) -> list[float]:
         psi = product_phase_state(nq, s)
@@ -499,20 +494,9 @@ def _preset_monotone_relation(config: ExperimentConfig) -> list[RecordRow]:
     return _rows(config.grid, names, np.array([values], dtype=float), "exact")
 
 
-_NOISE_KINDS = {
-    "local_depolarizing": NoiseKind.LOCAL_DEPOLARIZING,
-    "dephasing": NoiseKind.DEPHASING,
-    "amplitude_damping": NoiseKind.AMPLITUDE_DAMPING,
-    "global_depolarizing": NoiseKind.GLOBAL_DEPOLARIZING,
-}
-
-
 def _preset_noise_mitigation(config: ExperimentConfig) -> list[RecordRow]:
     nq, p_grid = config.n_qubits, config.grid
-    depth = int(config.params.get("depth", 20))
-    models = _as_tuple(
-        config.params.get("models", ("local_depolarizing", "dephasing", "amplitude_damping"))
-    )
+    depth = int(config.params["depth"])
     n = int(config.moment_indices[0])
     rows: list[RecordRow] = []
     for family_idx, (family, n_t) in enumerate((("clifford", 0), ("doped", nq))):
@@ -520,8 +504,8 @@ def _preset_noise_mitigation(config: ExperimentConfig) -> list[RecordRow]:
             doped_layered_circuit(nq, depth, n_t, _instance_rng(config.seed, family_idx, i))
             for i in range(config.instances)
         ]
-        for model_name in models:
-            records = relative_error_study(circuits, _NOISE_KINDS[str(model_name)], p_grid, n=n)
+        for model_name in config.params["models"]:
+            records = relative_error_study(circuits, NoiseKind(model_name), p_grid, n=n)
             # records run circuit-major over p; a ratio of None (no error to
             # mitigate) becomes NaN, which _rows skips
             values = np.array(
@@ -548,21 +532,32 @@ def _preset_noise_mitigation(config: ExperimentConfig) -> list[RecordRow]:
 
 _TIME_GRID = tuple(np.logspace(-1, 3, 41))
 
-# preset -> (function, default qubits, default grid, default instances); the
-# monotone sweep sets its register sizes through `qubit_counts` and has one
-# instance per point.
+# preset -> (function, default qubits, default grid, default instances, the
+# preset's own keys with their defaults).  A key whose default is a tuple
+# takes a scalar as a 1-tuple.  The monotone sweep sets its register sizes
+# through `qubit_counts` and has one instance per point.
 _PRESETS = {
-    "doped_clifford_sweep": (_preset_doped_clifford, 3, tuple(range(7)), 6),
-    "scrambling_depth_sweep": (_preset_scrambling_depth, 4, tuple(range(1, 41)), 100),
-    "gue_time_sweep": (_preset_gue_time, 3, _TIME_GRID, 200),
+    "doped_clifford_sweep": (
+        _preset_doped_clifford, 3, tuple(range(7)), 6,
+        # clifford_depth None: the proxy depth of 10 layers per qubit
+        {"clifford_depth": None, "haar_samples": 2000},
+    ),
+    "scrambling_depth_sweep": (
+        _preset_scrambling_depth, 4, tuple(range(1, 41)), 100, {"tgates": (0, 4, 16)},
+    ),
+    "gue_time_sweep": (_preset_gue_time, 3, _TIME_GRID, 200, {}),
     # N = 3 has only 63 non-identity strings, fewer than the largest default K
-    "random_pauli_sweep": (_preset_random_pauli, 4, _TIME_GRID, 200),
-    "ising_sweep": (_preset_ising, 3, _TIME_GRID, 200),
-    "random_circuit_depth": (_preset_random_circuit_depth, 3, tuple(range(1, 21)), 50),
+    "random_pauli_sweep": (_preset_random_pauli, 4, _TIME_GRID, 200, {"k_terms": (4, 16, 70)}),
+    "ising_sweep": (_preset_ising, 3, _TIME_GRID, 200, {"disorder": (0.5, 5.0), "delta": 0.2}),
+    "random_circuit_depth": (_preset_random_circuit_depth, 3, tuple(range(1, 21)), 50, {}),
     "monotone_relation_sweep": (
         _preset_monotone_relation, None, tuple(np.round(np.linspace(0.1, 1.0, 10), 10)), None,
+        {"qubit_counts": (1, 2, 3, 4)},
     ),
-    "noise_mitigation_study": (_preset_noise_mitigation, 6, (2e-5, 1e-4, 5e-4, 2e-3), 20),
+    "noise_mitigation_study": (
+        _preset_noise_mitigation, 6, (2e-5, 1e-4, 5e-4, 2e-3), 20,
+        {"depth": 20, "models": ("local_depolarizing", "dephasing", "amplitude_damping")},
+    ),
 }
 
 PRESETS = tuple(_PRESETS)
@@ -570,17 +565,33 @@ PRESETS = tuple(_PRESETS)
 
 def _resolve(config: ExperimentConfig) -> ExperimentConfig:
     """A copy of the config with the preset's defaults filled in for fields
-    left as None.  Raises ConfigError, naming the field, for a size below
-    its minimum or an empty grid."""
+    left as None and for own keys left out.  Raises ConfigError, naming the
+    field, for a key the preset does not own, an unknown noise model, a size
+    below its minimum or an empty grid."""
     if config.preset not in _PRESETS:
         raise ConfigError(f"unknown preset {config.preset!r}; known: {', '.join(PRESETS)}")
-    _, qubits, grid, instances = _PRESETS[config.preset]
+    _, qubits, grid, instances, own = _PRESETS[config.preset]
+    bad_keys = [key for key in config.params if key not in own]
+    if bad_keys:
+        raise ConfigError(
+            f"unknown key {bad_keys[0]!r} for preset {config.preset}; "
+            f"its own keys: {', '.join(own) or 'none'}"
+        )
+    params = {**own, **config.params}
+    for key, default in own.items():
+        if isinstance(default, tuple):
+            params[key] = _as_tuple(params[key])
+    kinds = [kind.value for kind in NoiseKind]
+    bad_models = [model for model in params.get("models", ()) if model not in kinds]
+    if bad_models:
+        raise ConfigError(f"models: unknown noise model {bad_models[0]!r}; known: {', '.join(kinds)}")
     resolved = replace(
         config,
         n_qubits=qubits if config.n_qubits is None else config.n_qubits,
         grid=grid if config.grid is None else config.grid,
         instances=instances if config.instances is None else config.instances,
         seed=0 if config.seed is None else config.seed,
+        params=params,
     )
     for name, value, least in (
         ("qubits", resolved.n_qubits, 1),

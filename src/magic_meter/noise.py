@@ -165,20 +165,6 @@ class NoiseStudyRecord:
     err_mitigated: float
     ratio: float | None
 
-    def csv_row(self) -> str:
-        ratio = "" if self.ratio is None else repr(self.ratio)
-        return (
-            f"{self.model},{self.p!r},{self.n_qubits},{self.n},{self.instance},"
-            f"{self.impurity!r},{self.err_unmitigated!r},{self.err_mitigated!r},{ratio}"
-        )
-
-
-NOISE_STUDY_CSV_HEADER = "model,p,N,n,instance,impurity,err_unmtg,err_mtg,ratio"
-
-
-def noise_study_csv(records: list["NoiseStudyRecord"]) -> str:
-    return "\n".join([NOISE_STUDY_CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
-
 
 def relative_error_study(
     circuits: list[Circuit],

@@ -17,13 +17,8 @@ import numpy as np
 from ._bits import symplectic_wht, wht
 from ._guards import BELL_MAGIC_QUBIT_GUARD, GAMMA_COPY_GUARD, STABILIZER_ENUM_GUARD, check_capacity
 from .circuits import Circuit, Gate, _canonical_phase, apply_gate, circuit_unitary, gate_cnot
-from .paulis import (
-    PauliString,
-    _pauli_transform,
-    all_expectations,
-    apply_pauli,
-    pauli_from_index,
-)
+from .estimators import bell_distribution
+from .paulis import PauliString, all_expectations, apply_pauli, pauli_from_index
 from .states import choi_state, n_qubits_of
 
 
@@ -237,25 +232,16 @@ def bounds_report(state: np.ndarray, n: int) -> BoundsReport:
 
 # -- Bell magic ----------------------------------------------------------------
 
-def bell_sampling_distribution_exact(state: np.ndarray) -> np.ndarray:
-    """P(r) = 2^-N |<psi|sigma_r|psi*>|^2, the Bell-measurement distribution of
-    two identical copies, computed from the Pauli algebra."""
-    conj = np.asarray(state, dtype=complex).conj()
-    nq = n_qubits_of(conj)
-    return _pauli_transform(
-        nq, lambda x, k: conj[k] * conj[k ^ x], lambda v: np.abs(v) ** 2 / 2**nq
-    )
-
-
 def bell_magic(state: np.ndarray) -> tuple[float, float]:
     """Bell magic B and its additive form -log2(1 - B).
 
     B = sum_{r,q} Q(r) Q(q) ||[sigma_r, sigma_q]||_inf with Q the Bell-difference
-    distribution (XOR self-convolution of the Bell-sampling distribution).
+    distribution (XOR self-convolution of the Bell-sampling distribution
+    P(r) = 2^-N |<psi|sigma_r|psi*>|^2 of two identical copies).
     """
     nq = n_qubits_of(state)
     check_capacity(nq, BELL_MAGIC_QUBIT_GUARD, "qubits in Bell magic")
-    p = bell_sampling_distribution_exact(state)
+    p = bell_distribution(state, state)
     size = p.shape[0]
     q = wht(wht(p) ** 2) / size  # XOR self-convolution
     # sum over anticommuting pairs via the symplectic-form WHT identity

@@ -95,6 +95,8 @@ def test_gate_validation():
         Circuit(2, (gate_cnot(1, 1),))
     with pytest.raises(ValueError):
         Circuit(2, (gate_rotation(pauli_from_string("II"), 0.3),))
+    with pytest.raises(ValueError, match="at least 1 qubit"):
+        Circuit(0, ())
 
 
 def test_random_clifford_circuit_structure():
@@ -189,6 +191,10 @@ def test_text_parse_errors():
         circuit_from_text("qubits 2\nWIBBLE 1\n")
     with pytest.raises(CircuitParseError):
         circuit_from_text("qubits 2\nCNOT 1\n")
+    with pytest.raises(CircuitParseError, match="at least 1 qubit"):
+        circuit_from_text("qubits 0\n")
+    with pytest.raises(CircuitParseError, match="at least 1 qubit"):
+        circuit_from_json('{"n_qubits": 0, "gates": []}')
 
 
 def test_shifted_angles():

@@ -175,6 +175,14 @@ def test_unknown_named_state(capsys):
     assert "bogus" in err
 
 
+def test_estimate_zero_shots_exit_three(capsys):
+    code, _, err = run_cli(
+        capsys, "estimate", "--state", "t", "--algorithm", "alg1", "--n", "3", "--shots", "0"
+    )
+    assert code == 3
+    assert "repetitions" in err
+
+
 def test_circuit_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("qubits 2\nWOBBLE 1\n")

@@ -16,8 +16,8 @@ from magic_meter.estimators import (
     hoeffding_budget,
     renyi_precision_budget,
 )
-from magic_meter.oracles import bell_magic, bell_sampling_distribution_exact, pauli_moment
-from magic_meter.paulis import pauli_spectrum
+from magic_meter.oracles import bell_magic, pauli_moment
+from magic_meter.paulis import _pauli_transform, pauli_spectrum
 from magic_meter.states import (
     conjugate_state,
     density_of,
@@ -45,12 +45,23 @@ def test_bell_distribution_conjugate_is_pauli_spectrum():
         assert np.allclose(dist, pauli_spectrum(psi).probabilities, atol=1e-10)
 
 
+def _same_copy_bell_from_pauli_algebra(psi):
+    """P(r) = 2^-N |<psi|sigma_r|psi*>|^2 from the Pauli transform of the rows
+    conj(psi[k]) conj(psi[k ^ x]): an independent route to bell_distribution(psi, psi)."""
+    conj = psi.conj()
+    nq = int(np.log2(psi.size))
+    return _pauli_transform(
+        nq, lambda x, k: conj[k] * conj[k ^ x], lambda v: np.abs(v) ** 2 / 2**nq
+    )
+
+
 def test_bell_distribution_same_copy_matches_oracle():
     rng = np.random.default_rng(1)
-    psi = haar_random_state(2, rng)
-    assert np.allclose(
-        bell_distribution(psi, psi), bell_sampling_distribution_exact(psi), atol=1e-10
-    )
+    for nq in range(1, 7):
+        psi = haar_random_state(nq, rng)
+        assert np.allclose(
+            bell_distribution(psi, psi), _same_copy_bell_from_pauli_algebra(psi), rtol=0, atol=1e-15
+        )
 
 
 def test_bell_distribution_real_states_coincide():
@@ -218,6 +229,22 @@ def test_gradient_of_irrelevant_parameter_is_zero():
 def test_gradient_index_validation():
     with pytest.raises(ValueError):
         estimate_moment_gradient(_phase_circuit(0.1), 3, 3, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("repetitions", [0, -1, 2.5])
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda reps: estimate_moment_bell(t_state(), 3, reps, np.random.default_rng(0)),
+        lambda reps: estimate_moment_conjugate(t_state(), 2, reps, np.random.default_rng(0)),
+        lambda reps: estimate_bell_magic(t_state(), reps, np.random.default_rng(0)),
+        lambda reps: estimate_moment_gradient(_phase_circuit(0.1), 0, 3, reps, np.random.default_rng(0)),
+    ],
+    ids=["bell", "conjugate", "bell_magic", "gradient"],
+)
+def test_repetitions_below_one_are_value_errors(estimate, repetitions):
+    with pytest.raises(ValueError, match="repetitions"):
+        estimate(repetitions)
 
 
 def test_participation_estimator():

@@ -1,9 +1,12 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from magic_meter.experiments import (
+    PRESETS,
     ConfigError,
     ExperimentConfig,
     haar_reference,
@@ -13,6 +16,7 @@ from magic_meter.experiments import (
     product_state_d_min,
     rows_to_csv,
     rows_to_json,
+    _resolve,
     run_preset,
 )
 from magic_meter.oracles import d_min, renyi_stabilizer_entropy
@@ -90,6 +94,75 @@ def test_nonpositive_sizes_are_config_errors(capsys, tmp_path, field, value):
 def test_depth_grid_points_must_be_integers_of_at_least_one(preset, depth):
     with pytest.raises(ConfigError, match="grid"):
         run_preset(ExperimentConfig(preset=preset, n_qubits=2, grid=(depth, 2), instances=1))
+
+
+# one misspelling of a key per preset; the presets without own keys get a
+# misspelled common field
+_MISSPELLED_KEYS = {
+    "doped_clifford_sweep": "haar_sample",
+    "scrambling_depth_sweep": "tgate",
+    "gue_time_sweep": "instance",
+    "random_pauli_sweep": "k_term",
+    "ising_sweep": "disorders",
+    "random_circuit_depth": "depths",
+    "monotone_relation_sweep": "qubit_count",
+    "noise_mitigation_study": "model",
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_misspelled_key_is_config_error(capsys, tmp_path, preset):
+    from magic_meter.cli import main
+
+    key = _MISSPELLED_KEYS[preset]
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        run_preset(ExperimentConfig(preset=preset, params={key: 4}))
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"preset": preset, key: [4]}))
+    assert main(["experiment", "--config", str(cfg), "--seed", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{key}'" in err
+
+
+def test_unknown_noise_model_is_config_error(capsys, tmp_path):
+    from magic_meter.cli import main
+
+    cfg = tmp_path / "noise.json"
+    cfg.write_text(json.dumps({"preset": "noise_mitigation_study", "qubits": 2, "instances": 1,
+                               "grid": [1e-3], "depth": 2, "models": ["dephasing", "depolarising"]}))
+    assert main(["experiment", "--config", str(cfg), "--seed", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: models:") and "'depolarising'" in err
+
+
+def test_flat_scalar_of_a_tuple_key_is_a_one_tuple():
+    base = "preset = scrambling_depth_sweep\nqubits = 2\ngrid = 1,2\ninstances = 2\nthreads = 1\n"
+    scalar = run_preset(parse_config_text(base + "tgates = 4\n"))
+    assert all(r.quantity.endswith("_NT4") for r in scalar)
+    assert rows_to_csv(scalar) == rows_to_csv(run_preset(parse_config_text(base + "tgates = 4,\n")))
+
+
+def test_clifford_depth_zero_reaches_the_circuit_builder():
+    # no Clifford layers: T gates on |0...0> leave a stabilizer state, A_2 = 1
+    rows = run_preset(ExperimentConfig(
+        preset="doped_clifford_sweep", n_qubits=2, grid=(3,), instances=1, shots=10,
+        moment_indices=(2,), params={"clifford_depth": 0, "haar_samples": 2},
+    ))
+    assert _rows_by_quantity(rows, "A2_exact")[0].mean == pytest.approx(1.0, abs=1e-12)
+
+
+def test_every_benchmark_workload_config_resolves():
+    # read, not edited: a tighter key check must not break the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for size in ("tiny", "full"):
+            for seed in workloads.INPUT_SEEDS:
+                doc = workloads.make_config(name, size, seed)
+                resolved = _resolve(parse_config_text(json.dumps(doc)))
+                assert resolved.preset == doc["preset"] and resolved.seed == seed
 
 
 def test_random_pauli_sweep_runs_with_default_register():

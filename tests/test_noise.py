@@ -199,19 +199,6 @@ def test_relative_error_study_global_noise_is_exact():
         records.append(inst)
 
 
-def test_noise_study_csv_columns():
-    from magic_meter.noise import NOISE_STUDY_CSV_HEADER, noise_study_csv
-
-    rng = np.random.default_rng(13)
-    circs = [doped_layered_circuit(2, 3, 1, rng)]
-    records = relative_error_study(circs, NoiseKind.AMPLITUDE_DAMPING, [0.01], n=2)
-    text = noise_study_csv(records)
-    lines = text.strip().splitlines()
-    assert lines[0] == NOISE_STUDY_CSV_HEADER == "model,p,N,n,instance,impurity,err_unmtg,err_mtg,ratio"
-    assert lines[1].startswith("amplitude_damping,0.01,2,2,0,")
-    assert len(lines[1].split(",")) == 9
-
-
 def test_relative_error_study_records():
     rng = np.random.default_rng(12)
     circs = [doped_layered_circuit(3, 4, 3, rng) for _ in range(2)]

@@ -10,9 +10,9 @@ from magic_meter.circuits import (
     random_clifford_circuit,
     random_rotation_circuit,
 )
+from magic_meter.estimators import bell_distribution
 from magic_meter.oracles import (
     bell_magic,
-    bell_sampling_distribution_exact,
     bounds_from_moment,
     bounds_report,
     clifford_average_flatness,
@@ -315,7 +315,7 @@ def test_bounds_json_fields():
 
 def test_bell_sampling_distribution_t_state():
     # P = (1/4, 1/2, 1/4, 0) over (I, X, Z, Y) for |T>
-    p = bell_sampling_distribution_exact(t_state())
+    p = bell_distribution(t_state(), t_state())
     assert np.allclose(p, [0.25, 0.5, 0.25, 0.0], atol=1e-12)
 
 
@@ -332,7 +332,7 @@ def test_bell_magic_brute_force_cross_check():
 
     rng = np.random.default_rng(9)
     psi = haar_random_state(2, rng)
-    p = bell_sampling_distribution_exact(psi)
+    p = bell_distribution(psi, psi)
     q = np.zeros_like(p)
     for r in range(16):
         for s in range(16):
