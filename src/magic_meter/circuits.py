@@ -9,6 +9,7 @@ to a global phase.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,13 +58,28 @@ class CircuitParseError(ValueError):
     """A circuit file or gate line could not be parsed."""
 
 
+# The gate set: name -> (operand kinds in text-form order, 2x2 matrix of a
+# fixed single-qubit gate).  A "qubit" is 1-based, an "index" picks one of the
+# SINGLE_QUBIT_CLIFFORDS, and an "angle" makes the gate the rotation
+# exp(-i angle/2 sigma) about its full-width Pauli "axis", whose support gives
+# the qubits, or about the Pauli its name ends in.  Two qubits make a CNOT.
+_GATES: dict[str, tuple[tuple[str, ...], np.ndarray | None]] = {
+    "H": (("qubit",), _H),
+    "S": (("qubit",), _S),
+    "T": (("qubit",), _T),
+    "CNOT": (("qubit", "qubit"), None),
+    "C1": (("qubit", "index"), None),
+    "RX": (("qubit", "angle"), None),
+    "RY": (("qubit", "angle"), None),
+    "RZ": (("qubit", "angle"), None),
+    "ROT": (("axis", "angle"), None),
+}
+
+
 @dataclass(frozen=True)
 class Gate:
-    """One gate: name in {H, S, T, CNOT, C1, RX, RY, RZ, ROT}.
-
-    C1 carries the index of a single-qubit Clifford; rotations carry an angle,
-    and ROT additionally a full-width Pauli axis.
-    """
+    """One gate of the _GATES table, carrying the operands its entry names:
+    ``clifford_index`` for an index, and ``angle`` and ``axis`` for theirs."""
 
     name: str
     qubits: tuple[int, ...]
@@ -78,8 +94,8 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"a circuit needs at least 1 qubit, got {self.n_qubits}")
+        if type(self.n_qubits) is not int or self.n_qubits < 1:
+            raise ValueError(f"a circuit needs an integer of at least 1 qubit, got {self.n_qubits!r}")
         for g in self.gates:
             _validate_gate(g, self.n_qubits)
 
@@ -88,7 +104,7 @@ class Circuit:
 
     def rotation_indices(self) -> list[int]:
         """Positions of parameterized rotation gates within the gate list."""
-        return [i for i, g in enumerate(self.gates) if g.name in ("RX", "RY", "RZ", "ROT")]
+        return [i for i, g in enumerate(self.gates) if "angle" in _GATES[g.name][0]]
 
     def angles(self) -> np.ndarray:
         return np.array([self.gates[i].angle for i in self.rotation_indices()])
@@ -110,28 +126,46 @@ class Circuit:
         return self.with_angles(thetas)
 
 
+def _kinds(name: str) -> tuple[str, ...]:
+    if name not in _GATES:
+        raise ValueError(f"unknown gate {name!r}")
+    return _GATES[name][0]
+
+
+def _named(g: Gate) -> dict:
+    """A gate's operands other than its qubits, keyed by kind."""
+    return {"angle": g.angle, "axis": g.axis, "index": g.clifford_index}
+
+
+def _support(axis: PauliString) -> tuple[int, ...]:
+    """The 1-based qubits on which a Pauli string acts nontrivially."""
+    n = axis.n_qubits
+    return tuple(j + 1 for j in range(n) if ((axis.z | axis.x) >> (n - 1 - j)) & 1)
+
+
 def _validate_gate(g: Gate, n: int) -> None:
+    """Check a gate against its _GATES entry: a finite angle, an axis and a
+    Clifford index in [0, 24) exactly where the entry has one, and distinct
+    integer qubits in [1, n], one per qubit operand or the support of the
+    full-width axis."""
+    kinds = _kinds(g.name)
+    for kind, value in _named(g).items():
+        if (kind in kinds) != (value is not None):
+            raise ValueError(f"{g.name} {'needs an' if value is None else 'takes no'} {kind}")
+    if g.angle is not None and not math.isfinite(g.angle):
+        raise ValueError(f"{g.name} angle {g.angle!r} is not finite")
+    if g.clifford_index is not None and not (type(g.clifford_index) is int and 0 <= g.clifford_index < 24):
+        raise ValueError(f"{g.name} index {g.clifford_index!r} is not an integer in [0, 24)")
+    if g.axis is not None and (g.axis.n_qubits != n or g.axis.is_identity or g.qubits != _support(g.axis)):
+        raise ValueError(f"{g.name} needs a nonidentity {n}-qubit axis whose support is its qubits, "
+                         f"got axis {g.axis} on qubits {list(g.qubits)}")
+    if g.axis is None and len(g.qubits) != kinds.count("qubit"):
+        raise ValueError(f"{g.name} takes {kinds.count('qubit')} qubit(s), got {list(g.qubits)}")
     for q in g.qubits:
-        if not (1 <= q <= n):
-            raise ValueError(f"gate {g.name} qubit {q} outside [1, {n}]")
-    if g.name == "CNOT":
-        if len(g.qubits) != 2 or g.qubits[0] == g.qubits[1]:
-            raise ValueError("CNOT needs two distinct qubits")
-    elif g.name == "C1":
-        if g.clifford_index is None or not (0 <= g.clifford_index < 24):
-            raise ValueError("C1 needs a Clifford index in [0, 24)")
-    elif g.name == "ROT":
-        if g.axis is None or g.axis.n_qubits != n:
-            raise ValueError("ROT needs a full-width Pauli axis")
-        if g.axis.is_identity:
-            raise ValueError("rotation axis must be nonidentity")
-        if g.angle is None:
-            raise ValueError("ROT needs an angle")
-    elif g.name in ("RX", "RY", "RZ"):
-        if g.angle is None:
-            raise ValueError(f"{g.name} needs an angle")
-    elif g.name not in ("H", "S", "T"):
-        raise ValueError(f"unknown gate {g.name!r}")
+        if type(q) is not int or not 1 <= q <= n:
+            raise ValueError(f"gate {g.name} qubit {q!r} is not an integer in [1, {n}]")
+    if len(set(g.qubits)) != len(g.qubits):
+        raise ValueError(f"{g.name} needs distinct qubits, got {list(g.qubits)}")
 
 
 def gate_h(q: int) -> Gate:
@@ -155,11 +189,7 @@ def gate_clifford(q: int, index: int) -> Gate:
 
 
 def gate_rotation(axis: PauliString, angle: float) -> Gate:
-    qubits = tuple(
-        j + 1 for j in range(axis.n_qubits)
-        if ((axis.z >> (axis.n_qubits - 1 - j)) | (axis.x >> (axis.n_qubits - 1 - j))) & 1
-    )
-    return Gate("ROT", qubits, angle=float(angle), axis=axis)
+    return Gate("ROT", _support(axis), angle=float(angle), axis=axis)
 
 
 def gate_rz(q: int, angle: float) -> Gate:
@@ -168,17 +198,6 @@ def gate_rz(q: int, angle: float) -> Gate:
 
 def gate_ry(q: int, angle: float) -> Gate:
     return Gate("RY", (q,), angle=float(angle))
-
-
-_AXIS_CHAR = {"RX": "X", "RY": "Y", "RZ": "Z"}
-
-
-def _rotation_axis(g: Gate, n: int) -> PauliString:
-    if g.name == "ROT":
-        return g.axis
-    chars = ["I"] * n
-    chars[g.qubits[0] - 1] = _AXIS_CHAR[g.name]
-    return pauli_from_string("".join(chars))
 
 
 def _apply_single(psi: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
@@ -201,19 +220,17 @@ def _apply_cnot(psi: np.ndarray, control: int, target: int, n: int) -> np.ndarra
 
 
 def apply_gate(gate: Gate, psi: np.ndarray, n: int) -> np.ndarray:
+    """Apply one gate to a statevector, or columnwise to a (2^n, m) matrix."""
     if psi.shape[0] != 1 << n:
         raise ValueError(f"array dimension {psi.shape[0]} differs from 2^{n}")
-    if gate.name == "H":
-        return _apply_single(psi, _H, gate.qubits[0])
-    if gate.name == "S":
-        return _apply_single(psi, _S, gate.qubits[0])
-    if gate.name == "T":
-        return _apply_single(psi, _T, gate.qubits[0])
-    if gate.name == "C1":
-        return _apply_single(psi, SINGLE_QUBIT_CLIFFORDS[gate.clifford_index], gate.qubits[0])
-    if gate.name == "CNOT":
+    index = gate.clifford_index
+    mat = _GATES[gate.name][1] if index is None else SINGLE_QUBIT_CLIFFORDS[index]
+    if mat is not None:
+        return _apply_single(psi, mat, gate.qubits[0])
+    if gate.angle is None:
         return _apply_cnot(psi, gate.qubits[0], gate.qubits[1], n)
-    axis = _rotation_axis(gate, n)
+    q = gate.qubits[0]
+    axis = gate.axis or pauli_from_string("I" * (q - 1) + gate.name[-1] + "I" * (n - q))
     half = gate.angle / 2.0
     return np.cos(half) * psi - 1j * np.sin(half) * apply_pauli(axis, psi)
 
@@ -257,8 +274,7 @@ def random_clifford_circuit(n_qubits: int, depth: int, rng) -> Circuit:
     rng = np.random.default_rng(rng)
     gates: list[Gate] = []
     for _ in range(depth):
-        for q in range(1, n_qubits + 1):
-            gates.append(gate_clifford(q, int(rng.integers(24))))
+        gates += [gate_clifford(q, int(rng.integers(24))) for q in range(1, n_qubits + 1)]
         gates += _cnot_chain(n_qubits)
     return Circuit(n_qubits, tuple(gates))
 
@@ -295,9 +311,7 @@ def doped_layered_gate_layers(n_qubits: int, depth: int, n_tgates: int, rng) -> 
         gates: list[Gate] = []
         for q in range(1, n_qubits + 1):
             gates.append(gate_clifford(q, int(rng.integers(24))))
-            for s in slots:
-                if s == layer * n_qubits + (q - 1):
-                    gates.append(gate_t(q))
+            gates += [gate_t(q) for s in slots if s == layer * n_qubits + (q - 1)]
         gates += _cnot_chain(n_qubits)
         layers.append(gates)
     return layers
@@ -335,21 +349,36 @@ def random_rotation_circuit(n_qubits: int, depth: int, rng) -> Circuit:
 # -- serialization ------------------------------------------------------------
 
 def gate_to_text(gate: Gate) -> str:
-    if gate.name in ("H", "S", "T"):
-        return f"{gate.name} {gate.qubits[0]}"
-    if gate.name == "CNOT":
-        return f"CNOT {gate.qubits[0]} {gate.qubits[1]}"
-    if gate.name == "C1":
-        return f"C1 {gate.qubits[0]} {gate.clifford_index}"
-    if gate.name == "ROT":
-        return f"ROT {gate.axis} {gate.angle!r}"
-    return f"{gate.name} {gate.qubits[0]} {gate.angle!r}"
+    qubits, named = iter(gate.qubits), _named(gate)
+    operands = [next(qubits) if k == "qubit" else named[k] for k in _kinds(gate.name)]
+    return " ".join(str(v) for v in [gate.name, *operands])
 
 
 def circuit_to_text(circuit: Circuit) -> str:
-    lines = [f"qubits {circuit.n_qubits}"]
-    lines += [gate_to_text(g) for g in circuit.gates]
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"qubits {circuit.n_qubits}"] + [gate_to_text(g) for g in circuit.gates]) + "\n"
+
+
+def _build_gate(name, operands: list | dict) -> Gate:
+    """The gate `name` from its operands, listed in the order of its _GATES
+    entry (text form) or keyed by "qubits" (left out or empty: the axis
+    support) and each other kind (JSON form).  Values are read from their
+    text, so a JSON float or bool is no integer; Circuit checks the rest."""
+    name = str(name).upper()
+    kinds = _kinds(name)
+    if isinstance(operands, list):
+        if len(operands) != len(kinds):
+            raise ValueError(f"{name} takes {len(kinds)} operand(s) ({' '.join(kinds)}), got {len(operands)}")
+        qubits = [a for k, a in zip(kinds, operands) if k == "qubit"]
+        operands = {k: a for k, a in zip(kinds, operands) if k != "qubit"} | {"qubits": qubits}
+    extra = set(operands) - {"qubits", *kinds}
+    if extra:
+        raise ValueError(f"{name} takes no {min(extra)}")
+    cast = {"index": int, "angle": float, "axis": pauli_from_string}
+    named = {k: cast[k](str(operands[k])) for k in kinds if k != "qubit"}
+    qubits = operands.get("qubits") or (_support(named["axis"]) if "axis" in named else ())
+    if not isinstance(qubits, (list, tuple)):
+        raise ValueError(f"qubits {qubits!r} is not a list")
+    return Gate(name, tuple(int(str(q)) for q in qubits), named.get("angle"), named.get("axis"), named.get("index"))
 
 
 def circuit_from_text(text: str) -> Circuit:
@@ -359,27 +388,15 @@ def circuit_from_text(text: str) -> Circuit:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        op = parts[0].upper()
+        op, *args = line.upper().split()
         try:
             if op == "QUBITS":
-                n_qubits = int(parts[1])
+                n_qubits = int(" ".join(args))
                 continue
             if n_qubits is None:
                 raise ValueError("first directive must be 'qubits N'")
-            if op in ("H", "S", "T"):
-                gates.append(Gate(op, (int(parts[1]),)))
-            elif op == "CNOT":
-                gates.append(gate_cnot(int(parts[1]), int(parts[2])))
-            elif op == "C1":
-                gates.append(gate_clifford(int(parts[1]), int(parts[2])))
-            elif op in ("RX", "RY", "RZ"):
-                gates.append(Gate(op, (int(parts[1]),), angle=float(parts[2])))
-            elif op == "ROT":
-                gates.append(gate_rotation(pauli_from_string(parts[1]), float(parts[2])))
-            else:
-                raise ValueError(f"unknown gate {op!r}")
-        except (IndexError, ValueError) as exc:
+            gates.append(_build_gate(op, args))
+        except ValueError as exc:
             raise CircuitParseError(f"line {lineno}: {exc}") from exc
     if n_qubits is None:
         raise CircuitParseError("missing 'qubits N' directive")
@@ -390,42 +407,24 @@ def circuit_from_text(text: str) -> Circuit:
 
 
 def circuit_to_json(circuit: Circuit) -> str:
-    entries = []
-    for g in circuit.gates:
-        e: dict = {"gate": g.name, "qubits": list(g.qubits)}
-        if g.angle is not None:
-            e["angle"] = g.angle
-        if g.axis is not None:
-            e["axis"] = str(g.axis)
-        if g.clifford_index is not None:
-            e["index"] = g.clifford_index
-        entries.append(e)
+    entries = [
+        {"gate": g.name, "qubits": list(g.qubits)}
+        | {k: str(v) if k == "axis" else v for k, v in _named(g).items() if v is not None}
+        for g in circuit.gates
+    ]
     return json.dumps({"n_qubits": circuit.n_qubits, "gates": entries}, indent=2)
 
 
 def circuit_from_json(text: str) -> Circuit:
     try:
         doc = json.loads(text)
-        n = int(doc["n_qubits"])
-        gates = []
-        for e in doc["gates"]:
-            name = e["gate"].upper()
-            if name == "ROT":
-                gates.append(gate_rotation(pauli_from_string(e["axis"]), float(e["angle"])))
-            elif name == "C1":
-                gates.append(gate_clifford(int(e["qubits"][0]), int(e["index"])))
-            elif name in ("RX", "RY", "RZ"):
-                gates.append(Gate(name, (int(e["qubits"][0]),), angle=float(e["angle"])))
-            else:
-                gates.append(Gate(name, tuple(int(q) for q in e["qubits"])))
-        return Circuit(n, tuple(gates))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        gates = [_build_gate(e["gate"], {k: v for k, v in e.items() if k != "gate"}) for e in doc["gates"]]
+        return Circuit(doc["n_qubits"], tuple(gates))
+    except (KeyError, TypeError, ValueError) as exc:
         raise CircuitParseError(f"bad circuit JSON: {exc}") from exc
 
 
 def load_circuit(path: str) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
-        return circuit_from_json(text)
-    return circuit_from_text(text)
+    return (circuit_from_json if text.lstrip().startswith("{") else circuit_from_text)(text)

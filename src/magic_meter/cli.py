@@ -64,20 +64,22 @@ def _load_circuit(path: str):
         raise SemanticError(f"circuit file not found: {exc}") from exc
 
 
+# --state name -> state from (qubit count, seed)
+_STATES = {
+    "zero": lambda nq, seed: zero_state(nq),
+    "plus": lambda nq, seed: plus_state(nq),
+    "t": lambda nq, seed: t_state(nq),
+    "haar": lambda nq, seed: haar_random_state(nq, np.random.default_rng(seed)),
+}
+
+
 def _resolve_state(args) -> np.ndarray:
     if args.circuit:
         return apply_circuit(_load_circuit(args.circuit))
     name = (args.state or "zero").lower()
-    nq = args.qubits or 1
-    if name == "zero":
-        return zero_state(nq)
-    if name == "plus":
-        return plus_state(nq)
-    if name == "t":
-        return t_state(nq)
-    if name == "haar":
-        return haar_random_state(nq, np.random.default_rng(args.seed))
-    raise SemanticError(f"unknown named state {name!r} (use zero, plus, t, haar)")
+    if name not in _STATES:
+        raise SemanticError(f"unknown named state {name!r} (use {', '.join(_STATES)})")
+    return _STATES[name](args.qubits or 1, args.seed)
 
 
 def _print_values(values, args) -> None:
@@ -96,53 +98,49 @@ def _emit(text: str, output: str | None) -> None:
         print(text)
 
 
+def _otoc_values(args) -> dict:
+    # the OTOC reads the circuit's unitary, not the state it prepares
+    if not args.circuit:
+        raise SemanticError("the otoc measure needs --circuit")
+    if not (args.sigma and args.sigma_prime):
+        raise SemanticError("the otoc measure needs --sigma and --sigma-prime")
+    circuit = _load_circuit(args.circuit)
+    sigma, sigma_prime = pauli_from_string(args.sigma), pauli_from_string(args.sigma_prime)
+    return {"otoc": otoc(circuit, sigma, sigma_prime, args.n)}
+
+
+# exact --measure name -> its values from the parsed arguments
+_MEASURES = {
+    "A_n": lambda a: {"A_n": pauli_moment(_resolve_state(a), a.n)},
+    "M_n": lambda a: {"M_n": renyi_stabilizer_entropy(_resolve_state(a), a.n)},
+    "T_n": lambda a: {"T_n": tsallis_stabilizer_entropy(_resolve_state(a), a.n)},
+    "flatness": lambda a: {"flatness": flatness(_resolve_state(a))},
+    "I_q": lambda a: {"I_q": participation_entropy(_resolve_state(a), a.q)},
+    "otoc": _otoc_values,
+    "bell_magic": lambda a: dict(zip(("bell_magic", "bell_magic_additive"), bell_magic(_resolve_state(a)))),
+    "fstab": lambda a: {"fstab": stabilizer_fidelity(_resolve_state(a))},
+}
+
+# estimate --algorithm name -> its result from (state, arguments, generator)
+_ALGORITHMS = {
+    "alg1": lambda psi, a, rng: estimate_moment_bell(
+        psi, a.n, a.shots, rng, allow_even=a.allow_even, seed=a.seed
+    ),
+    "alg2": lambda psi, a, rng: estimate_moment_conjugate(psi, a.n, a.shots, rng, seed=a.seed),
+    "bellmagic": lambda psi, a, rng: estimate_bell_magic(psi, a.shots, rng, seed=a.seed),
+    "participation": lambda psi, a, rng: estimate_participation(psi, a.q, a.shots, rng, seed=a.seed),
+    "purity": lambda psi, a, rng: estimate_purity(psi, a.shots, rng, seed=a.seed),
+}
+
+
 def _cmd_exact(args) -> int:
-    measure = args.measure
-    if measure == "otoc":
-        # the OTOC reads the circuit's unitary, not the state it prepares
-        if not args.circuit:
-            raise SemanticError("the otoc measure needs --circuit")
-        if not (args.sigma and args.sigma_prime):
-            raise SemanticError("the otoc measure needs --sigma and --sigma-prime")
-        circuit = _load_circuit(args.circuit)
-        sigma, sigma_prime = pauli_from_string(args.sigma), pauli_from_string(args.sigma_prime)
-        _print_values({"otoc": otoc(circuit, sigma, sigma_prime, args.n)}, args)
-        return EXIT_OK
-    psi = _resolve_state(args)
-    if measure == "A_n":
-        values = {"A_n": pauli_moment(psi, args.n)}
-    elif measure == "M_n":
-        values = {"M_n": renyi_stabilizer_entropy(psi, args.n)}
-    elif measure == "T_n":
-        values = {"T_n": tsallis_stabilizer_entropy(psi, args.n)}
-    elif measure == "flatness":
-        values = {"flatness": flatness(psi)}
-    elif measure == "I_q":
-        values = {"I_q": participation_entropy(psi, args.q)}
-    elif measure == "bell_magic":
-        b, badd = bell_magic(psi)
-        values = {"bell_magic": b, "bell_magic_additive": badd}
-    else:  # fstab, the last of the parser's choices
-        values = {"fstab": stabilizer_fidelity(psi)}
-    _print_values(values, args)
+    _print_values(_MEASURES[args.measure](args), args)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
     psi = _resolve_state(args)
-    rng = np.random.default_rng(args.seed)
-    if args.algorithm == "alg1":
-        res = estimate_moment_bell(
-            psi, args.n, args.shots, rng, allow_even=args.allow_even, seed=args.seed
-        )
-    elif args.algorithm == "alg2":
-        res = estimate_moment_conjugate(psi, args.n, args.shots, rng, seed=args.seed)
-    elif args.algorithm == "purity":
-        res = estimate_purity(psi, args.shots, rng, seed=args.seed)
-    elif args.algorithm == "bellmagic":
-        res = estimate_bell_magic(psi, args.shots, rng, seed=args.seed)
-    else:  # participation, the last of the parser's choices
-        res = estimate_participation(psi, args.q, args.shots, rng, seed=args.seed)
+    res = _ALGORITHMS[args.algorithm](psi, args, np.random.default_rng(args.seed))
     _emit(res.to_json(), args.output)
     return EXIT_OK
 
@@ -204,7 +202,7 @@ def _cmd_budget(args) -> int:
 
 
 def _add_state_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", help="named state: zero, plus, t, haar")
+    p.add_argument("--state", help=f"named state: {', '.join(_STATES)}")
     p.add_argument("--circuit", help="circuit file (text or JSON) preparing the state")
     p.add_argument("--qubits", type=int, help="qubit count for named states")
 
@@ -229,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument(
         "--measure",
         required=True,
-        choices=("A_n", "M_n", "T_n", "flatness", "I_q", "otoc", "bell_magic", "fstab"),
+        choices=tuple(_MEASURES),
     )
     p_exact.add_argument("--n", type=int, default=2)
     p_exact.add_argument("--q", type=float, default=2)
@@ -243,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument(
         "--algorithm",
         required=True,
-        choices=("alg1", "alg2", "bellmagic", "participation", "purity"),
+        choices=tuple(_ALGORITHMS),
     )
     p_est.add_argument("--n", type=int, default=2)
     p_est.add_argument("--q", type=int, default=2)

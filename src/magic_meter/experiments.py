@@ -23,7 +23,7 @@ import json
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .oracles import (
     tsallis_stabilizer_entropy,
 )
 from .paulis import pauli_from_string
-from .states import choi_state, haar_random_state, zero_state
+from .states import choi_state, haar_random_state, product_phase_state, zero_state
 
 CSV_HEADER = "sweep,quantity,mean,std,instances,kind"
 
@@ -151,19 +151,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             doc[key.strip()] = _parse_value(value)
     if "preset" not in doc:
         raise ConfigError("missing required field 'preset'")
-    known = {
-        "preset",
-        "qubits",
-        "n_qubits",
-        "grid",
-        "instances",
-        "shots",
-        "n",
-        "moment_indices",
-        "seed",
-        "threads",
-        "output",
-    }
+    # the common fields, under their ExperimentConfig names or the short
+    # `qubits` and `n`; every other key goes to params
+    known = {"qubits", "n"} | {f.name for f in fields(ExperimentConfig)} - {"params"}
     # a field left out takes its default from the ExperimentConfig dataclass
     moments = doc.get("n", doc.get("moment_indices", ExperimentConfig.moment_indices))
     return ExperimentConfig(
@@ -171,10 +161,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         n_qubits=doc.get("qubits", doc.get("n_qubits")),
         grid=_as_tuple(doc.get("grid")),
         instances=doc.get("instances"),
-        shots=int(doc.get("shots", ExperimentConfig.shots)),
-        moment_indices=tuple(int(m) for m in _as_tuple(moments)),
-        seed=None if doc.get("seed") is None else int(doc["seed"]),
-        threads=int(doc.get("threads", ExperimentConfig.threads)),
+        shots=doc.get("shots", ExperimentConfig.shots),
+        moment_indices=_as_tuple(moments),
+        seed=doc.get("seed"),
+        threads=doc.get("threads", ExperimentConfig.threads),
         output=doc.get("output"),
         params={k: v for k, v in doc.items() if k not in known},
     )
@@ -329,7 +319,7 @@ def _preset_doped_clifford(config: ExperimentConfig) -> list[RecordRow]:
     values, _ = _instances(config, one)
     _spot_check_estimates(grid, names, values, config.moment_indices, config.seed)
     rows = _rows(grid, names, values, ["estimated" if "_est" in q else "exact" for q in names])
-    haar_samples = int(config.params["haar_samples"])
+    haar_samples = config.params["haar_samples"]
     for n in config.moment_indices:
         ref = haar_reference(nq, n, haar_samples, _instance_rng(config.seed, 10_000 + n))
         rows.append(RecordRow(float("nan"), f"T{n}_haar", ref["tsallis_mean"], ref["tsallis_se"], haar_samples, "analytic"))
@@ -460,15 +450,6 @@ def _preset_random_circuit_depth(config: ExperimentConfig) -> list[RecordRow]:
     )
 
 
-def product_phase_state(n_qubits: int, s: float) -> np.ndarray:
-    """(|0> + e^{i pi s / 4}|1>)^{tensor N} / 2^{N/2}."""
-    single = np.array([1.0, np.exp(1j * np.pi * s / 4)]) / np.sqrt(2)
-    psi = single
-    for _ in range(n_qubits - 1):
-        psi = np.kron(psi, single)
-    return psi
-
-
 def product_state_d_min(n_qubits: int, s: float) -> float:
     """D_min of the product phase state: N times the single-qubit value (the
     stabilizer fidelity of this family is multiplicative; checked against
@@ -496,8 +477,8 @@ def _preset_monotone_relation(config: ExperimentConfig) -> list[RecordRow]:
 
 def _preset_noise_mitigation(config: ExperimentConfig) -> list[RecordRow]:
     nq, p_grid = config.n_qubits, config.grid
-    depth = int(config.params["depth"])
-    n = int(config.moment_indices[0])
+    depth = config.params["depth"]
+    n = config.moment_indices[0]
     rows: list[RecordRow] = []
     for family_idx, (family, n_t) in enumerate((("clifford", 0), ("doped", nq))):
         circuits = [
@@ -566,8 +547,9 @@ PRESETS = tuple(_PRESETS)
 def _resolve(config: ExperimentConfig) -> ExperimentConfig:
     """A copy of the config with the preset's defaults filled in for fields
     left as None and for own keys left out.  Raises ConfigError, naming the
-    field, for a key the preset does not own, an unknown noise model, a size
-    below its minimum or an empty grid."""
+    field, for a key the preset does not own, a null own key, an unknown noise
+    model, an integer field that is no integer or is below its minimum, or an
+    empty grid or moment list."""
     if config.preset not in _PRESETS:
         raise ConfigError(f"unknown preset {config.preset!r}; known: {', '.join(PRESETS)}")
     _, qubits, grid, instances, own = _PRESETS[config.preset]
@@ -577,6 +559,9 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
             f"unknown key {bad_keys[0]!r} for preset {config.preset}; "
             f"its own keys: {', '.join(own) or 'none'}"
         )
+    nulls = [key for key, value in config.params.items() if value is None and own[key] is not None]
+    if nulls:
+        raise ConfigError(f"{nulls[0]} must not be null")
     params = {**own, **config.params}
     for key, default in own.items():
         if isinstance(default, tuple):
@@ -593,13 +578,23 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
         seed=0 if config.seed is None else config.seed,
         params=params,
     )
+    if not resolved.moment_indices:
+        raise ConfigError(f"n must be a non-empty list of integers, got {resolved.moment_indices!r}")
     for name, value, least in (
         ("qubits", resolved.n_qubits, 1),
         ("instances", resolved.instances, 1),
         ("shots", resolved.shots, 1),
-        ("haar_samples", resolved.params.get("haar_samples"), 2),
+        ("seed", resolved.seed, 0),
+        ("threads", resolved.threads, 0),
+        *(("n", m, 1) for m in resolved.moment_indices),
+        ("haar_samples", params.get("haar_samples"), 2),
+        ("depth", params.get("depth"), 1),
+        ("clifford_depth", params.get("clifford_depth"), 0),
     ):
-        if value is not None and not (isinstance(value, numbers.Integral) and value >= least):
+        # None stands for a preset default of None or a key the preset does not own
+        if value is None and name not in ("shots", "threads", "n"):
+            continue
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
             raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
     if len(resolved.grid) == 0:
         raise ConfigError("grid must not be empty")

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._bits import symplectic_wht, wht
 from ._guards import BELL_MAGIC_QUBIT_GUARD, GAMMA_COPY_GUARD, STABILIZER_ENUM_GUARD, check_capacity
-from .circuits import Circuit, Gate, _canonical_phase, apply_gate, circuit_unitary, gate_cnot
+from .circuits import Circuit, _canonical_phase, apply_gate, circuit_unitary, gate_cnot, gate_h, gate_s
 from .estimators import bell_distribution
 from .paulis import PauliString, all_expectations, apply_pauli, pauli_from_index
 from .states import choi_state, n_qubits_of
@@ -135,8 +135,8 @@ def enumerate_stabilizer_states(n_qubits: int) -> np.ndarray:
     """All pure stabilizer states (rows), deduplicated up to global phase, by
     orbit closure of |0...0> under H, S and CNOT.  Cached; treat as read-only."""
     check_capacity(n_qubits, STABILIZER_ENUM_GUARD, "qubits in stabilizer enumeration")
-    generators = [Gate("H", (q,)) for q in range(1, n_qubits + 1)]
-    generators += [Gate("S", (q,)) for q in range(1, n_qubits + 1)]
+    generators = [gate_h(q) for q in range(1, n_qubits + 1)]
+    generators += [gate_s(q) for q in range(1, n_qubits + 1)]
     generators += [
         gate_cnot(c, t)
         for c in range(1, n_qubits + 1)

@@ -35,13 +35,18 @@ def plus_state(n_qubits: int) -> np.ndarray:
     return np.full(dim, dim**-0.5, dtype=complex)
 
 
-def t_state(n_qubits: int = 1) -> np.ndarray:
-    """|T>^{tensor n} with |T> = (|0> + e^{i pi/4} |1>)/sqrt(2)."""
-    single = np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2)
+def product_phase_state(n_qubits: int, s: float) -> np.ndarray:
+    """(|0> + e^{i pi s / 4}|1>)^{tensor N} / 2^{N/2}."""
+    single = np.array([1.0, np.exp(1j * np.pi * s / 4)]) / np.sqrt(2)
     psi = single
     for _ in range(n_qubits - 1):
         psi = np.kron(psi, single)
     return psi
+
+
+def t_state(n_qubits: int = 1) -> np.ndarray:
+    """|T>^{tensor n} with |T> = (|0> + e^{i pi/4} |1>)/sqrt(2)."""
+    return product_phase_state(n_qubits, 1)
 
 
 def haar_random_state(n_qubits: int, rng) -> np.ndarray:

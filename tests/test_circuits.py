@@ -1,10 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magic_meter.circuits import (
+    _GATES,
     SINGLE_QUBIT_CLIFFORDS,
     Circuit,
     CircuitParseError,
+    Gate,
     apply_circuit,
     circuit_from_json,
     circuit_from_text,
@@ -18,11 +24,13 @@ from magic_meter.circuits import (
     gate_rotation,
     gate_rz,
     gate_t,
+    load_circuit,
     random_clifford_circuit,
     random_rotation_circuit,
 )
+from magic_meter.cli import main
 from magic_meter.oracles import pauli_moment
-from magic_meter.paulis import expectation, pauli_from_string
+from magic_meter.paulis import expectation, pauli_from_index, pauli_from_string
 from magic_meter.states import (
     choi_state,
     conjugate_state,
@@ -209,3 +217,61 @@ def test_normalization_preserved():
     circ = doped_layered_circuit(4, 10, 6, rng)
     psi = apply_circuit(circ)
     assert abs(np.linalg.norm(psi) - 1) < 1e-9
+
+
+@st.composite
+def table_gates(draw, n: int, name: str) -> Gate:
+    """A valid gate of one _GATES entry on n qubits, its operands drawn by kind."""
+    kinds = _GATES[name][0]
+    qubits = draw(st.permutations(range(1, n + 1)))[: kinds.count("qubit")]
+    named = {
+        "angle": draw(st.floats(allow_nan=False, allow_infinity=False)) if "angle" in kinds else None,
+        "axis": pauli_from_index(draw(st.integers(1, 4**n - 1)), n) if "axis" in kinds else None,
+        "index": draw(st.integers(0, 23)) if "index" in kinds else None,
+    }
+    if named["axis"] is not None:
+        return gate_rotation(named["axis"], named["angle"])
+    return Gate(name, tuple(qubits), named["angle"], None, named["index"])
+
+
+@pytest.mark.parametrize("name", sorted(_GATES))
+@settings(max_examples=15, deadline=None, database=None)
+@given(data=st.data())
+def test_every_table_gate_round_trips(name, data):
+    arity = {g: max(1, _GATES[g][0].count("qubit")) for g in _GATES}
+    n = data.draw(st.integers(arity[name], 4))
+    names = data.draw(st.lists(st.sampled_from(sorted(_GATES)), max_size=4))
+    gates = [data.draw(table_gates(n, g)) for g in [name] + names if arity[g] <= n]
+    circ = Circuit(n, tuple(gates))
+    text = circuit_to_text(circ)
+    assert circuit_from_text(text) == circ
+    assert circuit_to_text(circuit_from_text(text)) == text
+    assert circuit_from_json(circuit_to_json(circ)) == circ
+
+
+MALFORMED_CIRCUITS = {
+    "text_h_two_qubits": ("qubits 2\nH 1 2\n", "H takes 1"),
+    "text_cnot_three_qubits": ("qubits 2\nCNOT 1 2 1\n", "CNOT takes 2"),
+    "json_h_two_qubits": ('{"n_qubits": 2, "gates": [{"gate": "H", "qubits": [1, 2]}]}', "[1, 2]"),
+    "json_float_qubit": ('{"n_qubits": 2, "gates": [{"gate": "H", "qubits": [1.9]}]}', "1.9"),
+    "json_float_width": ('{"n_qubits": 2.7, "gates": [{"gate": "H", "qubits": [1]}]}', "2.7"),
+    "text_nan_angle": ("qubits 1\nRZ 1 nan\n", "nan"),
+    "text_inf_angle": ("qubits 1\nRZ 1 inf\n", "inf"),
+    "text_rx_two_qubits": ("qubits 2\nRX 1 2 0.3\n", "RX takes 2"),
+    "json_rx_two_qubits": (
+        '{"n_qubits": 2, "gates": [{"gate": "RX", "qubits": [1, 2], "angle": 0.3}]}', "[1, 2]"
+    ),
+    "text_t_with_angle": ("qubits 1\nT 1 0.3\n", "T takes 1"),
+    "json_t_with_angle": ('{"n_qubits": 1, "gates": [{"gate": "T", "qubits": [1], "angle": 0.3}]}', "angle"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CIRCUITS))
+def test_malformed_circuit_is_a_parse_error(name, tmp_path, capsys):
+    text, operand = MALFORMED_CIRCUITS[name]
+    path = tmp_path / "bad.circ"
+    path.write_text(text)
+    with pytest.raises(CircuitParseError, match=re.escape(operand)):
+        load_circuit(str(path))
+    assert main(["exact", "--circuit", str(path), "--measure", "A_n"]) == 2
+    assert operand in capsys.readouterr().err

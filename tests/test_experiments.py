@@ -89,6 +89,42 @@ def test_nonpositive_sizes_are_config_errors(capsys, tmp_path, field, value):
     assert field in capsys.readouterr().err
 
 
+_SMALL_SWEEP = {"preset": "scrambling_depth_sweep", "qubits": 2, "grid": [1], "instances": 1}
+_SMALL_NOISE = {"preset": "noise_mitigation_study", "qubits": 2, "grid": [1e-3], "instances": 1,
+                "depth": 2, "n": [2], "models": ["dephasing"]}
+_SMALL_DOPED = {"preset": "doped_clifford_sweep", "qubits": 2, "grid": [0], "instances": 1,
+                "shots": 10, "haar_samples": 2}
+
+# config -> the key the error must name; each value was once truncated by
+# int() or crashed with a traceback instead of a config error
+_BAD_INTEGER_CONFIGS = {
+    "float_shots": (json.dumps({**_SMALL_SWEEP, "shots": 2.5}), "shots"),
+    "float_moment": (json.dumps({**_SMALL_SWEEP, "n": [2.5, 3]}), "n"),
+    "float_seed": (json.dumps({**_SMALL_SWEEP, "seed": 1.5}), "seed"),
+    "float_threads": (json.dumps({**_SMALL_SWEEP, "threads": 1.7}), "threads"),
+    "flat_float_shots": ("preset = scrambling_depth_sweep\nqubits = 2\ngrid = 1\nshots = 10.9\n", "shots"),
+    "bool_shots": (json.dumps({**_SMALL_SWEEP, "shots": True}), "shots"),
+    "null_tgates": (json.dumps({**_SMALL_SWEEP, "tgates": None}), "tgates"),
+    "empty_moments": (json.dumps({**_SMALL_NOISE, "n": []}), "n"),
+    "zero_depth": (json.dumps({**_SMALL_NOISE, "depth": 0}), "depth"),
+    "negative_clifford_depth": (json.dumps({**_SMALL_DOPED, "clifford_depth": -1}), "clifford_depth"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INTEGER_CONFIGS))
+def test_integer_fields_are_checked_not_truncated(capsys, tmp_path, case):
+    from magic_meter.cli import main
+
+    text, key = _BAD_INTEGER_CONFIGS[case]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=key):
+        _resolve(parse_config_text(text))
+    assert main(["experiment", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 @pytest.mark.parametrize("depth", [0, -1, 2.5])
 @pytest.mark.parametrize("preset", ["scrambling_depth_sweep", "random_circuit_depth"])
 def test_depth_grid_points_must_be_integers_of_at_least_one(preset, depth):
