@@ -11,25 +11,46 @@ def popcount(values):
     return np.bitwise_count(np.asarray(values, dtype=np.uint64)).astype(np.int64)
 
 
-def wht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along the last axis.
+# Each Walsh-Hadamard factor is one BLAS product with the Sylvester matrix
+# H_f[z, k] = (-1)^{popcount(z & k)} of f <= _FACTOR rows, the top-left block
+# of _H.  _FIRST_FACTOR[c] = kron(_H, I_c) transforms c float64 columns per
+# entry (c = 2: the interleaved (re, im) view of complex input).
+_FACTOR = 32
+_H = 1.0 - 2.0 * (popcount(np.arange(_FACTOR)[:, None] & np.arange(_FACTOR)) & 1)
+_FIRST_FACTOR = {1: _H, 2: np.kron(_H, np.eye(2))}
 
-    Returns W[..., z] = sum_k (-1)^{popcount(z & k)} a[..., k].  The length of
-    the last axis must be a power of two.
+
+def wht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis.
+
+    Returns W[..., z] = sum_k (-1)^{popcount(z & k)} a[..., k] as a new array
+    and leaves the input alone.  The length of the last axis must be a power
+    of two (else ``ValueError``).  Complex input gives complex128; any other
+    input, integers included, gives float64.
+
+    H_n is the Kronecker product of Sylvester factors H_f with f <= 32, and
+    the transform is one BLAS product per factor on the float64 view of the
+    array: ``view @ kron(H_f, I_c)`` for the lowest index bits, then
+    ``H_f @ view`` for each higher group.  The +-1 products are exact, so
+    the result differs from a radix-2 butterfly only in the order of
+    summation.  BLAS splits a product across threads by rows and columns,
+    never along the summed axis, so results are bit-reproducible for any
+    ``--threads`` and BLAS thread count.
     """
-    a = np.array(a, copy=True)
+    a = np.asarray(a)
     n = a.shape[-1]
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise ValueError("length must be a power of two")
-    h = 1
-    while h < n:
-        shape = a.shape[:-1] + (n // (2 * h), 2, h)
-        a = a.reshape(shape)
-        lo = a[..., 0, :] + a[..., 1, :]
-        hi = a[..., 0, :] - a[..., 1, :]
-        a = np.stack([lo, hi], axis=-2).reshape(a.shape[:-3] + (n,))
-        h *= 2
-    return a
+    c = 2 if np.iscomplexobj(a) else 1
+    x = np.ascontiguousarray(a, dtype=complex if c == 2 else float).view(float)
+    inner = c * min(n, _FACTOR)  # float64 columns transformed so far
+    x = x.reshape(-1, inner) @ _FIRST_FACTOR[c][:inner, :inner]
+    while inner < c * n:
+        f = min(c * n // inner, _FACTOR)
+        x = np.matmul(_H[:f, :f], x.reshape(-1, f, inner))
+        inner *= f
+    x = x.reshape(a.shape[:-1] + (c * n,))
+    return x.view(complex) if c == 2 else x
 
 
 def xor_convolve(dists: list[np.ndarray]) -> np.ndarray:

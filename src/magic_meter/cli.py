@@ -79,7 +79,10 @@ def _resolve_state(args) -> np.ndarray:
     name = (args.state or "zero").lower()
     if name not in _STATES:
         raise SemanticError(f"unknown named state {name!r} (use {', '.join(_STATES)})")
-    return _STATES[name](args.qubits or 1, args.seed)
+    qubits = 1 if args.qubits is None else args.qubits
+    if qubits < 1:
+        raise SemanticError(f"--qubits must be at least 1, got {qubits}")
+    return _STATES[name](qubits, args.seed)
 
 
 def _print_values(values, args) -> None:

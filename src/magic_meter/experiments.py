@@ -348,7 +348,7 @@ def _depths(grid) -> tuple[int, ...]:
 def _preset_scrambling_depth(config: ExperimentConfig) -> list[RecordRow]:
     nq, depths = config.n_qubits, _depths(config.grid)
     depth_max = max(depths)
-    tgate_counts = tuple(int(t) for t in config.params["tgates"])
+    tgate_counts = config.params["tgates"]
     x1, zn = _edge_paulis(nq)
     psi0 = zero_state(nq)
     rows: list[RecordRow] = []
@@ -411,9 +411,7 @@ def _preset_gue_time(config: ExperimentConfig) -> list[RecordRow]:
 def _preset_random_pauli(config: ExperimentConfig) -> list[RecordRow]:
     rows: list[RecordRow] = []
     for k in config.params["k_terms"]:
-        rows += _time_sweep(
-            config, lambda nq, rng, k=int(k): random_pauli_hamiltonian(nq, k, rng), f"_K{int(k)}"
-        )
+        rows += _time_sweep(config, lambda nq, rng, k=k: random_pauli_hamiltonian(nq, k, rng), f"_K{k}")
     return rows
 
 
@@ -459,7 +457,7 @@ def product_state_d_min(n_qubits: int, s: float) -> float:
 
 
 def _preset_monotone_relation(config: ExperimentConfig) -> list[RecordRow]:
-    counts = [int(c) for c in config.params["qubit_counts"]]
+    counts = config.params["qubit_counts"]
 
     def point(nq: int, s: float) -> list[float]:
         psi = product_phase_state(nq, s)
@@ -587,6 +585,9 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
         ("seed", resolved.seed, 0),
         ("threads", resolved.threads, 0),
         *(("n", m, 1) for m in resolved.moment_indices),
+        *(("tgates", t, 0) for t in params.get("tgates", ())),
+        *(("k_terms", k, 1) for k in params.get("k_terms", ())),
+        *(("qubit_counts", c, 1) for c in params.get("qubit_counts", ())),
         ("haar_samples", params.get("haar_samples"), 2),
         ("depth", params.get("depth"), 1),
         ("clifford_depth", params.get("clifford_depth"), 0),

@@ -183,6 +183,13 @@ def test_estimate_zero_shots_exit_three(capsys):
     assert "repetitions" in err
 
 
+@pytest.mark.parametrize("qubits", ["0", "-1"])
+def test_named_state_qubits_below_one_exit_three(capsys, qubits):
+    code, out, err = run_cli(capsys, "exact", "--state", "zero", "--qubits", qubits, "--measure", "A_n")
+    assert code == 3 and out == ""
+    assert "--qubits" in err
+
+
 def test_circuit_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("qubits 2\nWOBBLE 1\n")

@@ -108,6 +108,18 @@ _BAD_INTEGER_CONFIGS = {
     "empty_moments": (json.dumps({**_SMALL_NOISE, "n": []}), "n"),
     "zero_depth": (json.dumps({**_SMALL_NOISE, "depth": 0}), "depth"),
     "negative_clifford_depth": (json.dumps({**_SMALL_DOPED, "clifford_depth": -1}), "clifford_depth"),
+    "float_tgates": (json.dumps({**_SMALL_SWEEP, "tgates": [2.5]}), "tgates"),
+    "negative_tgates": (json.dumps({**_SMALL_SWEEP, "tgates": [0, -1]}), "tgates"),
+    "bool_tgates": (json.dumps({**_SMALL_SWEEP, "tgates": [True]}), "tgates"),
+    "flat_float_tgates": ("preset = scrambling_depth_sweep\nqubits = 2\ngrid = 1\ntgates = 0, 1.5\n", "tgates"),
+    "float_k_terms": (json.dumps({**_SMALL_SWEEP, "preset": "random_pauli_sweep", "grid": [0.5],
+                                  "k_terms": [3.7]}), "k_terms"),
+    "zero_k_terms": (json.dumps({**_SMALL_SWEEP, "preset": "random_pauli_sweep", "grid": [0.5],
+                                 "k_terms": [0]}), "k_terms"),
+    "float_qubit_counts": (json.dumps({"preset": "monotone_relation_sweep", "grid": [0.5],
+                                       "qubit_counts": [1, 2.5]}), "qubit_counts"),
+    "zero_qubit_counts": (json.dumps({"preset": "monotone_relation_sweep", "grid": [0.5],
+                                      "qubit_counts": [0]}), "qubit_counts"),
 }
 
 

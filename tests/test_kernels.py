@@ -1,14 +1,21 @@
-"""Layer-1 kernels against the tensordot/moveaxis formulation.
+"""Layer-1 kernels against the tensordot/moveaxis formulation, and the
+layer-2 Walsh-Hadamard transform against a radix-2 butterfly and the dense
+Sylvester matrix.
 
 `apply_gate` and `apply_channel` act on the 2x2 block of one qubit through a
 3-axis view.  The reference kernels below instead view the array as a
 [2]*n tensor, contract the qubit's axis with `np.tensordot` and move it back
 with `np.moveaxis`; they are an independent check of the block products,
 including the last qubit, whose trailing block has size 1.
+
+`wht` is a product of Hadamard factors of at most 32 rows; the butterfly
+and the dense matrix sum in other orders, so they agree to a tolerance of
+1e-13 of max|a| * n, not bit for bit.
 """
 import numpy as np
 import pytest
 
+from magic_meter._bits import wht
 from magic_meter._guards import DENSITY_QUBIT_GUARD
 from magic_meter.circuits import (
     SINGLE_QUBIT_CLIFFORDS,
@@ -113,3 +120,70 @@ def test_circuit_unitary_runs_past_the_density_guard():
 def test_apply_gate_rejects_a_dimension_other_than_two_to_the_n():
     with pytest.raises(ValueError, match="differs"):
         apply_gate(gate_h(1), np.ones(6, dtype=complex), 2)
+
+
+def reference_wht(a):
+    """Radix-2 butterfly over the last axis."""
+    a = np.array(a, copy=True)
+    n = a.shape[-1]
+    h = 1
+    while h < n:
+        a = a.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
+        lo = a[..., 0, :] + a[..., 1, :]
+        hi = a[..., 0, :] - a[..., 1, :]
+        a = np.stack([lo, hi], axis=-2).reshape(a.shape[:-3] + (n,))
+        h *= 2
+    return a
+
+
+def sylvester_product(a, block=256):
+    """a @ H_n with H_n[k, z] = (-1)^{popcount(k & z)}, built in column blocks."""
+    n = a.shape[-1]
+    k = np.arange(n)[:, None]
+    out = np.empty(a.shape, dtype=np.result_type(a, float))
+    for start in range(0, n, block):
+        z = np.arange(start, min(start + block, n))[None, :]
+        out[..., start : start + block] = a @ (1.0 - 2.0 * (np.bitwise_count(k & z) & 1))
+    return out
+
+
+def _wht_inputs(n, is_complex, rng):
+    """A vector, a (3, n) batch, a strided batch (every other column of a
+    wider array) and a transposed batch (F-ordered)."""
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if is_complex else x
+
+    return [draw(n), draw(3, n), draw(3, 2 * n)[:, ::2], draw(n, 3).T]
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("m", range(13))
+def test_wht_matches_butterfly_and_sylvester(m, is_complex):
+    n = 1 << m
+    for a in _wht_inputs(n, is_complex, np.random.default_rng(10 * m + is_complex)):
+        before = a.copy()
+        got = wht(a)
+        np.testing.assert_array_equal(a, before)  # input left alone
+        assert not np.shares_memory(got, a)  # a new array, length 1 included
+        assert got.shape == a.shape
+        assert got.dtype == (np.complex128 if is_complex else np.float64)
+        tol = 1e-13 * np.max(np.abs(a)) * n
+        assert np.max(np.abs(got - reference_wht(a))) <= tol
+        assert np.max(np.abs(got - sylvester_product(a))) <= tol
+        assert np.max(np.abs(wht(got) - n * a)) <= tol * n
+
+
+def test_wht_casts_complex64_and_integer_input():
+    a = np.arange(8)
+    assert wht(a).dtype == np.float64
+    np.testing.assert_array_equal(wht(a), reference_wht(a.astype(float)))
+    c = (a + 1j * a[::-1]).astype(np.complex64)
+    assert wht(c).dtype == np.complex128
+    np.testing.assert_array_equal(wht(c), reference_wht(c.astype(complex)))
+
+
+@pytest.mark.parametrize("n", [0, 3, 6, 12, 1000])
+def test_wht_rejects_a_length_that_is_not_a_power_of_two(n):
+    with pytest.raises(ValueError, match="power of two"):
+        wht(np.ones((2, n)))
