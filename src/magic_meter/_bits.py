@@ -1,6 +1,6 @@
-"""Shared bit-twiddling helpers: popcounts, Walsh-Hadamard transforms and
-the interleaved <-> (z, x) index conversions used by the symplectic Pauli
-encoding."""
+"""Shared bit-twiddling helpers: popcounts, Kronecker-power products (the
+Walsh-Hadamard transform and the Bell rotation) and the interleaved <-> (z, x)
+index conversions used by the symplectic Pauli encoding."""
 from __future__ import annotations
 
 import numpy as np
@@ -11,13 +11,51 @@ def popcount(values):
     return np.bitwise_count(np.asarray(values, dtype=np.uint64)).astype(np.int64)
 
 
-# Each Walsh-Hadamard factor is one BLAS product with the Sylvester matrix
-# H_f[z, k] = (-1)^{popcount(z & k)} of f <= _FACTOR rows, the top-left block
-# of _H.  _FIRST_FACTOR[c] = kron(_H, I_c) transforms c float64 columns per
-# entry (c = 2: the interleaved (re, im) view of complex input).
-_FACTOR = 32
-_H = 1.0 - 2.0 * (popcount(np.arange(_FACTOR)[:, None] & np.arange(_FACTOR)) & 1)
-_FIRST_FACTOR = {1: _H, 2: np.kron(_H, np.eye(2))}
+def kron_factors(m: np.ndarray, k: int):
+    """The tables ``kron_products`` applies for the Kronecker powers of m.
+
+    Returns F = m^{tensor k} and {c: kron(F^T, I_c)} for c = 1, 2.  m[0, 0]
+    must be 1, so that the top-left f x f block of F is the factor m^{tensor j}
+    with f = d^j rows for every j <= k.  Build them once, at import.  The
+    first-factor tables are C-ordered: BLAS sums a transposed operand in
+    another order, and ``wht`` keeps the summation order of its products.
+    """
+    table = m
+    for _ in range(k - 1):
+        table = np.kron(table, m)
+    return table, {c: np.ascontiguousarray(np.kron(table.T, np.eye(c))) for c in (1, 2)}
+
+
+def kron_products(a: np.ndarray, factors) -> np.ndarray:
+    """M^{tensor m} applied along the last axis of a, whose length n is a
+    power of M's size d: W[..., z] = sum_k M^{tensor m}[z, k] a[..., k].
+
+    ``factors`` is ``kron_factors(M, j)``.  M^{tensor m} is a product of
+    factors M^{tensor i} with i <= j, each one BLAS product on the float64
+    view of the array: ``view @ kron(F_f^T, I_c)`` for the lowest index
+    digits, then ``F_f @ view`` for each higher group (c = 2 interleaved
+    (re, im) columns for complex input, c = 1 for real).  Returns a new
+    complex128 or float64 array and leaves the input alone.  BLAS splits a
+    product across threads by rows and columns, never along the summed axis,
+    so results are bit-reproducible for any ``--threads`` and BLAS thread
+    count.
+    """
+    table, first = factors
+    n = a.shape[-1]
+    c = 2 if np.iscomplexobj(a) else 1
+    x = np.ascontiguousarray(a, dtype=complex if c == 2 else float).view(float)
+    inner = c * min(n, table.shape[0])  # float64 columns transformed so far
+    x = x.reshape(-1, inner) @ first[c][:inner, :inner]
+    while inner < c * n:
+        f = min(c * n // inner, table.shape[0])
+        x = np.matmul(table[:f, :f], x.reshape(-1, f, inner))
+        inner *= f
+    x = x.reshape(a.shape[:-1] + (c * n,))
+    return x.view(complex) if c == 2 else x
+
+
+# Sylvester factors H_f[z, k] = (-1)^{popcount(z & k)} of at most 32 rows.
+_SYLVESTER = kron_factors(np.array([[1.0, 1.0], [1.0, -1.0]]), 5)
 
 
 def wht(a: np.ndarray) -> np.ndarray:
@@ -28,29 +66,16 @@ def wht(a: np.ndarray) -> np.ndarray:
     of two (else ``ValueError``).  Complex input gives complex128; any other
     input, integers included, gives float64.
 
-    H_n is the Kronecker product of Sylvester factors H_f with f <= 32, and
-    the transform is one BLAS product per factor on the float64 view of the
-    array: ``view @ kron(H_f, I_c)`` for the lowest index bits, then
-    ``H_f @ view`` for each higher group.  The +-1 products are exact, so
+    H_n is the Kronecker product of Sylvester factors H_f with f <= 32, one
+    BLAS product each (``kron_products``).  The +-1 products are exact, so
     the result differs from a radix-2 butterfly only in the order of
-    summation.  BLAS splits a product across threads by rows and columns,
-    never along the summed axis, so results are bit-reproducible for any
-    ``--threads`` and BLAS thread count.
+    summation.
     """
     a = np.asarray(a)
     n = a.shape[-1]
     if n < 1 or n & (n - 1):
         raise ValueError("length must be a power of two")
-    c = 2 if np.iscomplexobj(a) else 1
-    x = np.ascontiguousarray(a, dtype=complex if c == 2 else float).view(float)
-    inner = c * min(n, _FACTOR)  # float64 columns transformed so far
-    x = x.reshape(-1, inner) @ _FIRST_FACTOR[c][:inner, :inner]
-    while inner < c * n:
-        f = min(c * n // inner, _FACTOR)
-        x = np.matmul(_H[:f, :f], x.reshape(-1, f, inner))
-        inner *= f
-    x = x.reshape(a.shape[:-1] + (c * n,))
-    return x.view(complex) if c == 2 else x
+    return kron_products(a, _SYLVESTER)
 
 
 def xor_convolve(dists: list[np.ndarray]) -> np.ndarray:

@@ -14,43 +14,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import popcount, spread_bits, symplectic_wht, xor_convolve
+from ._bits import (
+    deinterleave_index,
+    kron_factors,
+    kron_products,
+    popcount,
+    spread_bits,
+    symplectic_wht,
+    xor_convolve,
+)
 from ._guards import STATEVECTOR_QUBIT_GUARD, check_capacity
 from .circuits import Circuit, apply_circuit
-from .paulis import all_expectations, expectation, pauli_from_index
+from .paulis import PauliString, all_expectations, expectation
 from .states import n_qubits_of
 
-_BELL_4x4 = None
-
-
-def _bell_matrix() -> np.ndarray:
-    """U_Bell = (H tensor I) CNOT as a 4x4 on one (a_j, b_j) pair."""
-    global _BELL_4x4
-    if _BELL_4x4 is None:
-        cnot = np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        _BELL_4x4 = np.kron(h, np.eye(2)) @ cnot
-    return _BELL_4x4
+# sqrt(2) U_Bell with U_Bell = (H tensor I) CNOT on one (a_j, b_j) pair: its
+# entries are 0 and +-1 and its top-left entry is 1, so its Kronecker powers
+# are products of 16 x 16 factors (sqrt(2) U_Bell)^{tensor 2}.
+_BELL = kron_factors(
+    np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=float), 2
+)
 
 
 def _interleave_copies(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Tensor two N-qubit statevectors with qubits interleaved pairwise."""
-    joint = np.multiply.outer(a, b).reshape([2] * (2 * n))
-    order = [ax for j in range(n) for ax in (j, n + j)]
-    return np.transpose(joint, order).reshape(-1)
+    return (a.reshape((2, 1) * n) * b.reshape((1, 2) * n)).reshape(-1)
 
 
 def _bell_rotate(joint: np.ndarray, n: int) -> np.ndarray:
-    """Apply U_Bell on every interleaved pair of a 2N-qubit statevector."""
-    u4 = _bell_matrix()
-    tensor = joint.reshape([4] * n)
-    for axis in range(n):
-        tensor = np.moveaxis(
-            np.tensordot(u4, tensor, axes=([1], [axis])), 0, axis
-        )
-    return tensor.reshape(-1)
+    """Apply U_Bell on every interleaved pair of a 2N-qubit statevector.
+
+    U_Bell^{tensor N} = 2^{-N/2} (sqrt(2) U_Bell)^{tensor N}, and the integer
+    Kronecker power is applied the way ``wht`` applies its Sylvester factors:
+    one BLAS product per 16 x 16 factor on the float64 view of the register
+    (``_bits.kron_products``).
+    """
+    amplitudes = kron_products(joint, _BELL)
+    amplitudes *= 2.0 ** (-n / 2)
+    return amplitudes
 
 
 def bell_distribution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,7 +70,8 @@ def bell_distribution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("copies must both be pure or both mixed")
     if a.ndim == 1:
         check_capacity(n, STATEVECTOR_QUBIT_GUARD, "qubits per copy in a Bell register")
-        return np.abs(_bell_rotate(_interleave_copies(a, b, n), n)) ** 2
+        dist = np.abs(_bell_rotate(_interleave_copies(a, b, n), n))
+        return np.square(dist, out=dist)
     dist = symplectic_wht(all_expectations(a.T) * all_expectations(b), n) / 4**n
     return np.maximum(dist, 0.0)  # zero probabilities can round to -1e-18
 
@@ -195,7 +197,10 @@ def estimate_moment_conjugate(
     dist = bell_distribution(state.conj(), state)
     outcomes = sample_bell(dist, repetitions, rng)
     uniq, inverse = np.unique(outcomes, return_inverse=True)
-    exps = np.array([expectation(state, pauli_from_index(int(i), nq)) for i in uniq])
+    zs, xs = deinterleave_index(uniq, nq)
+    exps = np.array(
+        [expectation(state, PauliString(z, x, nq)) for z, x in zip(zs.tolist(), xs.tolist())]
+    )
     p_plus = (1.0 + exps[inverse]) / 2.0
     draws = rng.uniform(size=(repetitions, 2 * n - 2)) < p_plus[:, None]
     lam = np.where(draws, 1.0, -1.0)

@@ -19,20 +19,27 @@ from ._guards import BELL_MAGIC_QUBIT_GUARD, GAMMA_COPY_GUARD, STABILIZER_ENUM_G
 from .circuits import Circuit, _canonical_phase, apply_gate, circuit_unitary, gate_cnot, gate_h, gate_s
 from .estimators import bell_distribution
 from .paulis import PauliString, all_expectations, apply_pauli, pauli_from_index
-from .states import choi_state, n_qubits_of
+from .states import choi_state, n_qubits_of, validate_state
 
 
 def pauli_moment(state: np.ndarray, n) -> float:
     """The n-th moment of the Pauli spectrum, 2^-N sum_sigma <sigma>^{2n}.
 
-    Accepts statevectors and density matrices and any real n >= 1 (the sum
-    uses |<sigma>|^{2n}, which for integer n is the plain even power).
+    Accepts statevectors and density matrices and any real n > 0 (the sum
+    uses |<sigma>|^{2n}).  For integer n the power is n - 1 products of
+    <sigma>^2, far cheaper than a float power.
     """
     state = np.asarray(state)
     nq = n_qubits_of(state)
     if n <= 0:
         raise ValueError("moment index must be positive")
     values = all_expectations(state)
+    if n == int(n):
+        sq = np.multiply(values, values, out=values)
+        power = sq if n == 1 else sq * sq
+        for _ in range(int(n) - 2):
+            power *= sq
+        return float(np.sum(power) / 2**nq)
     if n >= 1:
         return float(np.sum(np.abs(values) ** (2 * n)) / 2**nq)
     nonzero = np.abs(values[np.abs(values) > 1e-16])  # 0^{2n} = 0 for fractional n too
@@ -86,6 +93,7 @@ def participation_entropy(state: np.ndarray, q: float) -> float:
     """I_q = sum_k |<k|psi>|^{2q} of the computational-basis distribution."""
     if q <= 0:
         raise ValueError("q must be positive")
+    validate_state(state)
     probs = np.abs(np.asarray(state)) ** 2
     return float(np.sum(probs**q))
 

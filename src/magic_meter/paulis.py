@@ -13,7 +13,7 @@ import numpy as np
 
 from ._bits import deinterleave_index, interleave_zx, popcount, wht
 from ._guards import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity
-from .states import n_qubits_of
+from .states import n_qubits_of, validate_state
 
 _CHAR_TO_PAIR = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _PAIR_TO_CHAR = {v: k for k, v in _CHAR_TO_PAIR.items()}
@@ -131,12 +131,6 @@ def apply_pauli(sigma: PauliString, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_or_raise(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_TOL:
-        raise ConsistencyError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
-
-
 def expectation(state: np.ndarray, sigma: PauliString) -> float:
     """<psi|sigma|psi> for a statevector, or tr(rho sigma) for a density matrix."""
     state = np.asarray(state)
@@ -152,7 +146,9 @@ def expectation(state: np.ndarray, sigma: PauliString) -> float:
         val = complex(np.sum(_phase(sigma, k) * state[k, k ^ sigma.x]))
     else:
         raise ValueError("state must be a vector or a square matrix")
-    return _real_or_raise(val, f"<{sigma}>")
+    if abs(val.imag) > IMAG_TOL:
+        raise ConsistencyError(f"<{sigma}> has imaginary residue {val.imag:.3e}")
+    return float(val.real)
 
 
 def commutes(sigma: PauliString, tau: PauliString) -> bool:
@@ -175,16 +171,25 @@ def _pauli_transform(n: int, rows, finish) -> np.ndarray:
     For each chunk of X-masks, ``rows(x, k)`` gives the block f[x, k]
     (x a column of masks, k a row of basis indices).  One Walsh-Hadamard
     transform over k and the phase i^{|z&x|} turn it into
-    v[x, z] = i^{|z&x|} sum_k (-1)^{z.k} f[x, k], and ``finish`` maps v to the
-    real values stored at the interleaved index of (z, x).
+    v[x, z] = i^{|z&x|} sum_k (-1)^{z.k} f[x, k], and ``finish`` maps v to
+    real values.  They are written through a strided (x bits, z bits) view
+    of the output: reshaped to one axis per index bit, the interleaved index
+    holds qubit j's z bit on axis 2j - 2 and its x bit on axis 2j - 1, so a
+    chunk of X-masks is the block of that view whose leading x bits are the
+    chunk's, and no index array is built.
     """
     dim = 1 << n
     k = np.arange(dim)[None, :]  # also the Z-masks z
     out = np.empty(4**n)
-    for start in range(0, dim, _CHUNK):
-        xs = np.arange(start, min(start + _CHUNK, dim))[:, None]
-        vals = _I_POWERS[popcount(k & xs) & 3] * wht(rows(xs, k))
-        out[interleave_zx(k, xs, n).ravel()] = finish(vals).ravel()
+    by_xz = out.reshape((2,) * (2 * n)).transpose([*range(1, 2 * n, 2), *range(0, 2 * n, 2)])
+    chunk = min(_CHUNK, dim)
+    fixed = n - chunk.bit_length() + 1  # leading x bits shared by a chunk
+    for start in range(0, dim, chunk):
+        xs = np.arange(start, start + chunk)[:, None]
+        vals = wht(rows(xs, k)).astype(complex, copy=False)
+        vals *= _I_POWERS.take(np.bitwise_count(k & xs) & 3)
+        block = by_xz[tuple((start >> (n - 1 - b)) & 1 for b in range(fixed))]
+        block[...] = finish(vals).reshape(block.shape)
     return out
 
 
@@ -200,14 +205,26 @@ def all_expectations(state: np.ndarray) -> np.ndarray:
 
     Works for statevectors and density matrices: the Pauli transform of
     conj(psi_{k^x}) psi_k (or rho[k, k^x]), the literal Pauli sum vectorized
-    over the Z-masks.
+    over the Z-masks.  The state is checked with ``validate_state`` after the
+    size guard, so every spectrum consumer (moments, entropies, mixed Bell
+    sampling) refuses an unnormalized or non-finite state.
     """
     state = np.asarray(state)
     n = n_qubits_of(state)
     if state.ndim == 1:
         check_capacity(n, STATEVECTOR_QUBIT_GUARD, "qubits in a pure-state Pauli spectrum")
-        return _pauli_transform(n, lambda x, k: state[k ^ x].conj() * state[k], _real_part)
-    check_capacity(n, DENSITY_QUBIT_GUARD, "qubits in a density-matrix Pauli spectrum")
+    else:
+        check_capacity(n, DENSITY_QUBIT_GUARD, "qubits in a density-matrix Pauli spectrum")
+    validate_state(state)
+    if state.ndim == 1:
+        conj = state.conj()
+
+        def rows(x, k):
+            block = conj[k ^ x]
+            block *= state
+            return block
+
+        return _pauli_transform(n, rows, _real_part)
     return _pauli_transform(n, lambda x, k: state[k, k ^ x], _real_part)
 
 

@@ -18,6 +18,29 @@ def n_qubits_of(state: np.ndarray) -> int:
     return n
 
 
+STATE_TOL = 1e-8  # allowed deviation of the norm or the trace from 1
+
+
+def validate_state(state) -> None:
+    """Check that ``state`` is a finite statevector of unit norm or a finite
+    square matrix of unit trace, of power-of-two dimension.  Raises
+    ``ValueError`` naming the defect."""
+    state = np.asarray(state)
+    if state.ndim not in (1, 2) or state.shape[0] != state.shape[-1]:
+        raise ValueError(f"a state must be a vector or a square matrix, got shape {state.shape}")
+    n_qubits_of(state)
+    if not np.all(np.isfinite(state)):
+        raise ValueError("state has non-finite entries (NaN or infinity)")
+    if state.ndim == 1:
+        norm = float(np.linalg.norm(state))
+        if abs(norm - 1.0) > STATE_TOL:
+            raise ValueError(f"statevector has norm {norm:.12g}, not 1")
+    else:
+        trace = complex(np.trace(state))
+        if abs(trace - 1.0) > STATE_TOL:
+            raise ValueError(f"density matrix has trace {trace:.12g}, not 1")
+
+
 def zero_state(n_qubits: int) -> np.ndarray:
     psi = np.zeros(1 << n_qubits, dtype=complex)
     psi[0] = 1.0

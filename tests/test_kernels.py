@@ -11,11 +11,17 @@ including the last qubit, whose trailing block has size 1.
 `wht` is a product of Hadamard factors of at most 32 rows; the butterfly
 and the dense matrix sum in other orders, so they agree to a tolerance of
 1e-13 of max|a| * n, not bit for bit.
+
+The Pauli transform writes each chunk through a strided view of its output;
+the reference below builds the interleaved index of every (z, x) and
+scatters into it, with the same products, so the two agree bit for bit.  The
+pure-state Bell distribution is a product of 16 x 16 factors; the reference
+contracts the 4x4 Bell matrix into each pair axis with `np.tensordot`.
 """
 import numpy as np
 import pytest
 
-from magic_meter._bits import wht
+from magic_meter._bits import interleave_zx, popcount, wht
 from magic_meter._guards import DENSITY_QUBIT_GUARD
 from magic_meter.circuits import (
     SINGLE_QUBIT_CLIFFORDS,
@@ -27,8 +33,11 @@ from magic_meter.circuits import (
     gate_s,
     gate_t,
 )
+from magic_meter.estimators import bell_distribution
 from magic_meter.noise import NoiseKind, NoiseModel, _kraus_for, apply_channel
-from magic_meter.states import haar_random_state, random_density_matrix
+from magic_meter.oracles import pauli_moment
+from magic_meter.paulis import _I_POWERS, _real_part, all_expectations
+from magic_meter.states import haar_random_state, n_qubits_of, random_density_matrix
 
 RTOL, ATOL = 1e-14, 1e-15
 
@@ -187,3 +196,74 @@ def test_wht_casts_complex64_and_integer_input():
 def test_wht_rejects_a_length_that_is_not_a_power_of_two(n):
     with pytest.raises(ValueError, match="power of two"):
         wht(np.ones((2, n)))
+
+
+def reference_pauli_transform(n, rows, finish):
+    """The Pauli transform scattered through an interleaved index array."""
+    dim = 1 << n
+    k = np.arange(dim)[None, :]
+    out = np.empty(4**n)
+    for start in range(0, dim, 512):
+        xs = np.arange(start, min(start + 512, dim))[:, None]
+        vals = _I_POWERS[popcount(k & xs) & 3] * wht(rows(xs, k))
+        out[interleave_zx(k, xs, n).ravel()] = finish(vals).ravel()
+    return out
+
+
+def reference_all_expectations(state):
+    n = n_qubits_of(state)
+    if state.ndim == 1:
+        return reference_pauli_transform(n, lambda x, k: state[k ^ x].conj() * state[k], _real_part)
+    return reference_pauli_transform(n, lambda x, k: state[k, k ^ x], _real_part)
+
+
+_BELL_4x4 = np.kron(_H, np.eye(2)) @ np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
+
+
+def reference_bell_distribution(a, b):
+    """|U_Bell^{tensor N} (a tensor b)|^2, copies interleaved pairwise and the
+    4x4 Bell matrix contracted into each pair axis."""
+    n = n_qubits_of(a)
+    joint = np.multiply.outer(a, b).reshape([2] * (2 * n))
+    order = [ax for j in range(n) for ax in (j, n + j)]
+    tensor = np.transpose(joint, order).reshape([4] * n)
+    for axis in range(n):
+        tensor = np.moveaxis(np.tensordot(_BELL_4x4, tensor, axes=([1], [axis])), 0, axis)
+    return np.abs(tensor.reshape(-1)) ** 2
+
+
+def _spectrum_inputs():
+    pure = [haar_random_state(n, np.random.default_rng(300 + n)) for n in range(1, 11)]
+    return pure + [random_density_matrix(n, np.random.default_rng(400 + n)) for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("state", _spectrum_inputs(), ids=lambda s: f"{s.ndim}d-{s.shape[0]}")
+def test_all_expectations_equals_the_scatter_reference_bit_for_bit(state):
+    before = state.copy()
+    got = all_expectations(state)
+    np.testing.assert_array_equal(state, before)
+    np.testing.assert_array_equal(got, reference_all_expectations(state))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pure_bell_distribution_matches_the_tensordot_reference(n):
+    rng = np.random.default_rng(500 + n)
+    psi, other = haar_random_state(n, rng), haar_random_state(n, rng)
+    for a, b in [(psi.conj(), psi), (psi, psi), (psi, other)]:
+        before = a.copy(), b.copy()
+        got = bell_distribution(a, b)
+        np.testing.assert_array_equal(a, before[0])
+        np.testing.assert_array_equal(b, before[1])
+        np.testing.assert_allclose(got, reference_bell_distribution(a, b), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("moment", [1, 2, 3, 4])
+def test_integer_moment_matches_the_float_power(moment):
+    states = [haar_random_state(n, np.random.default_rng(600 + n)) for n in (1, 3, 6, 8)]
+    states.append(random_density_matrix(4, np.random.default_rng(7)))
+    for state in states:
+        values = all_expectations(state)
+        expected = np.sum(np.abs(values) ** (2 * moment)) / 2 ** n_qubits_of(state)
+        assert pauli_moment(state, moment) == pytest.approx(expected, rel=1e-13, abs=0)

@@ -381,3 +381,37 @@ def test_tsallis_monotonicity_random_sweep():
 def test_tsallis_monotonicity_gap_errors():
     with pytest.raises(ValueError):
         tsallis_monotonicity_gap(zero_state(2), [], 2)
+
+
+# -- state validation ---------------------------------------------------------
+
+def test_pauli_moment_refuses_an_unnormalized_state():
+    # unchecked, <I> = <Z> = 4 would give the moment (4^4 + 4^4) / 2 = 256
+    with pytest.raises(ValueError, match="norm 2"):
+        pauli_moment([2, 0], 2)
+    with pytest.raises(ValueError, match="trace"):
+        pauli_moment(np.eye(2), 2)
+    with pytest.raises(ValueError, match="norm"):
+        renyi_stabilizer_entropy([2, 0], 2)
+
+
+def test_flatness_refuses_an_unnormalized_state():
+    # unchecked, I_3 - I_2^2 would be 4^3 - (4^2)^2 = -192
+    with pytest.raises(ValueError, match="norm 2"):
+        flatness([2, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda s: pauli_moment(s, 2),
+        von_neumann_stabilizer_entropy,
+        lambda s: participation_entropy(s, 2),
+        flatness,
+    ],
+)
+def test_oracles_refuse_a_non_finite_state(oracle):
+    with pytest.raises(ValueError, match="non-finite"):
+        oracle(np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        oracle(np.array([[np.inf, 0.0], [0.0, 0.0]]))

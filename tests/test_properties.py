@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magic_meter.estimators import bell_distribution
+from magic_meter.paulis import all_expectations
 from magic_meter.states import haar_random_state, random_density_matrix
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
@@ -50,6 +51,16 @@ def test_bell_distribution_is_a_probability_vector(n, seed, mixed, ranks):
     dist = bell_distribution(a, b)
     assert dist.shape == (4**n,)
     assert np.all(dist >= 0.0)
+    assert dist.sum() == pytest.approx(1.0, abs=1e-13)
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(n=st.integers(min_value=1, max_value=6), seed=seeds)
+def test_conjugate_bell_distribution_is_the_pauli_spectrum(n, seed):
+    # Bell sampling (psi*, psi) draws sigma with probability <sigma>^2 / 2^N
+    psi = haar_random_state(n, np.random.default_rng(seed))
+    dist = bell_distribution(psi.conj(), psi)
+    np.testing.assert_allclose(dist, all_expectations(psi) ** 2 / 2**n, rtol=0, atol=1e-14)
     assert dist.sum() == pytest.approx(1.0, abs=1e-13)
 
 
