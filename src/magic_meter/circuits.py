@@ -31,27 +31,26 @@ def _canonical_phase(mat: np.ndarray) -> bytes:
     return rounded.tobytes()
 
 
-def _build_single_qubit_cliffords() -> list[np.ndarray]:
-    """The 24 single-qubit Clifford unitaries (up to phase), from <H, S>."""
-    found: dict[bytes, np.ndarray] = {_canonical_phase(_I2): _I2}
-    frontier = [_I2]
+def orbit(start: np.ndarray, moves) -> list[np.ndarray]:
+    """Breadth-first closure of ``start`` under the callables ``moves``,
+    deduplicated up to global phase, in the order the arrays are first found."""
+    found: dict[bytes, np.ndarray] = {_canonical_phase(start): start}
+    frontier = [start]
     while frontier:
         nxt = []
         for u in frontier:
-            for g in (_H, _S):
-                v = g @ u
+            for move in moves:
+                v = move(u)
                 key = _canonical_phase(v)
                 if key not in found:
                     found[key] = v
                     nxt.append(v)
         frontier = nxt
-    mats = list(found.values())
-    if len(mats) != 24:
-        raise RuntimeError(f"expected 24 single-qubit Cliffords, got {len(mats)}")
-    return mats
+    return list(found.values())
 
 
-SINGLE_QUBIT_CLIFFORDS: list[np.ndarray] = _build_single_qubit_cliffords()
+# The 24 single-qubit Clifford unitaries (up to phase), from <H, S>.
+SINGLE_QUBIT_CLIFFORDS: list[np.ndarray] = orbit(_I2, (_H.__matmul__, _S.__matmul__))
 
 
 class CircuitParseError(ValueError):
@@ -109,21 +108,12 @@ class Circuit:
     def angles(self) -> np.ndarray:
         return np.array([self.gates[i].angle for i in self.rotation_indices()])
 
-    def with_angles(self, thetas) -> "Circuit":
-        idx = self.rotation_indices()
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.shape != (len(idx),):
-            raise ValueError("angle vector length differs from rotation count")
-        gates = list(self.gates)
-        for pos, theta in zip(idx, thetas):
-            gates[pos] = replace(gates[pos], angle=float(theta))
-        return Circuit(self.n_qubits, tuple(gates))
-
     def shifted(self, k: int, delta: float) -> "Circuit":
         """Copy with the k-th rotation angle shifted by delta."""
-        thetas = self.angles()
-        thetas[k] += delta
-        return self.with_angles(thetas)
+        pos = self.rotation_indices()[k]
+        gates = list(self.gates)
+        gates[pos] = replace(gates[pos], angle=float(gates[pos].angle + delta))
+        return Circuit(self.n_qubits, tuple(gates))
 
 
 def _kinds(name: str) -> tuple[str, ...]:
@@ -209,14 +199,10 @@ def _apply_single(psi: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
 
 
 def _apply_cnot(psi: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    tail = psi.shape[1] if psi.ndim == 2 else 1
-    tensor = psi.reshape([2] * n + [tail]).copy()
-    c, t = control - 1, target - 1
-    sel = [slice(None)] * n
-    sel[c] = 1
-    sub = tensor[tuple(sel)]
-    tensor[tuple(sel)] = np.flip(sub, axis=t if t < c else t - 1)
-    return tensor.reshape(psi.shape)
+    """CNOT as a row permutation: row k takes row k with the target bit
+    flipped where the control bit of k is set."""
+    k = np.arange(1 << n)
+    return psi[k ^ (((k >> (n - control)) & 1) << (n - target))]
 
 
 def apply_gate(gate: Gate, psi: np.ndarray, n: int) -> np.ndarray:

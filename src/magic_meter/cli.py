@@ -3,8 +3,9 @@
 Subcommands: exact, estimate, gradient, bounds, experiment, budget.
 Exit codes: 0 success, 2 parse error, 3 semantic/guard error, 4 I/O error.
 The --seed option (default: MAGIC_METER_SEED env var, then 0) makes every
-command bit-reproducible; for `experiment` the config's `seed` ranks between
---seed and the env var.
+command but `budget`, which draws nothing, bit-reproducible; for `experiment`
+the config's `seed` ranks between --seed and the env var.  Only exact, budget
+and experiment take --format; the others always print JSON.
 """
 from __future__ import annotations
 
@@ -210,10 +211,14 @@ def _add_state_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--qubits", type=int, help="qubit count for named states")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
+def _add_common(p: argparse.ArgumentParser, seed: bool = True, formats: bool = False) -> None:
+    """--output, plus --seed where a command reads it and --format where it
+    prints either CSV or JSON."""
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", help="write results to this path instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if formats:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exact brute-force value of a measure")
     _add_state_options(p_exact)
-    _add_common(p_exact)
+    _add_common(p_exact, formats=True)
     p_exact.add_argument(
         "--measure",
         required=True,
@@ -272,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(fn=_cmd_bounds)
 
     p_exp = sub.add_parser("experiment", help="run a named experiment preset")
-    _add_common(p_exp)
+    _add_common(p_exp, formats=True)
     p_exp.add_argument("--config", required=True, help="flat key=value or JSON config file")
     p_exp.add_argument(
         "--threads",
@@ -284,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(fn=_cmd_experiment)
 
     p_budget = sub.add_parser("budget", help="Hoeffding repetition budgets")
-    _add_common(p_budget)
+    _add_common(p_budget, seed=False, formats=True)
     p_budget.add_argument("--epsilon", type=float, default=0.05)
     p_budget.add_argument("--delta", type=float, default=0.05)
     p_budget.add_argument("--delta-omega", dest="delta_omega", type=float, default=2.0)
@@ -300,7 +305,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # an experiment config's own seed ranks between --seed and the env var
-    if getattr(args, "seed", None) is None and args.fn is not _cmd_experiment:
+    if getattr(args, "seed", 0) is None and args.fn is not _cmd_experiment:
         args.seed = _default_seed()
     try:
         return args.fn(args)

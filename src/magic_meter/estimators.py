@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ._bits import (
 from ._guards import STATEVECTOR_QUBIT_GUARD, check_capacity
 from .circuits import Circuit, apply_circuit
 from .paulis import PauliString, all_expectations, expectation
-from .states import n_qubits_of
+from .states import n_qubits_of, validate_state
 
 # sqrt(2) U_Bell with U_Bell = (H tensor I) CNOT on one (a_j, b_j) pair: its
 # entries are 0 and +-1 and its top-left entry is 1, so its Kronecker powers
@@ -70,6 +70,8 @@ def bell_distribution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("copies must both be pure or both mixed")
     if a.ndim == 1:
         check_capacity(n, STATEVECTOR_QUBIT_GUARD, "qubits per copy in a Bell register")
+        validate_state(a)
+        validate_state(b)
         dist = np.abs(_bell_rotate(_interleave_copies(a, b, n), n))
         return np.square(dist, out=dist)
     dist = symplectic_wht(all_expectations(a.T) * all_expectations(b), n) / 4**n
@@ -99,17 +101,7 @@ class EstimatorResult:
     seed: int | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "std_error": self.std_error,
-                "shots": self.shots,
-                "copies_consumed": self.copies_consumed,
-                "algorithm": self.algorithm,
-                "n": self.n,
-                "seed": self.seed,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _result_from_samples(per_rep: np.ndarray, copies: int, algorithm: str, n, seed) -> EstimatorResult:
@@ -210,22 +202,21 @@ def estimate_moment_conjugate(
 
 def estimate_purity(state: np.ndarray, repetitions: int, rng, seed: int | None = None) -> EstimatorResult:
     """Destructive-SWAP-test purity: the n = 1 case of the Bell estimator."""
-    res = estimate_moment_bell(state, 1, repetitions, rng, seed=seed)
-    return EstimatorResult(
-        res.value, res.std_error, res.shots, res.copies_consumed, "purity", 1, seed
-    )
+    return replace(estimate_moment_bell(state, 1, repetitions, rng, seed=seed), algorithm="purity")
 
 
 # -- gradients ----------------------------------------------------------------
 
-def _prepared_state(circuit: Circuit) -> np.ndarray:
-    return apply_circuit(circuit)
-
-
-def _check_rotation_index(circuit: Circuit, k: int) -> None:
+def _shift_rule_distributions(circuit: Circuit, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Check that rotation k exists, prepare psi, and return the Bell
+    distribution of (psi, psi) and those of (psi shifted by +-pi/2 in the
+    k-th angle, psi), the + shift first."""
     count = len(circuit.rotation_indices())
     if not (0 <= k < count):
         raise ValueError(f"parameter index {k} outside the {count} rotation gates")
+    psi = apply_circuit(circuit)
+    shifted = [apply_circuit(circuit.shifted(k, sign * np.pi / 2)) for sign in (+1.0, -1.0)]
+    return bell_distribution(psi, psi), [bell_distribution(phi, psi) for phi in shifted]
 
 
 def estimate_moment_gradient(
@@ -248,26 +239,16 @@ def estimate_moment_gradient(
         raise ValueError("moment index must be a positive integer")
     _check_repetitions(repetitions)
     _even_n_guard(n, allow_even, "the gradient estimator")
-    _check_rotation_index(circuit, k)
+    base_dist, mixed_dists = _shift_rule_distributions(circuit, k)
     rng = np.random.default_rng(rng)
-    nq = circuit.n_qubits
-    psi = _prepared_state(circuit)
-    base_dist = bell_distribution(psi, psi)
-    means, ses = [], []
-    for sign in (+1.0, -1.0):
-        shifted = _prepared_state(circuit.shifted(k, sign * np.pi / 2))
-        mixed_dist = bell_distribution(shifted, psi)
-        first = sample_bell(mixed_dist, repetitions, rng)
+    sides = []
+    for mixed_dist in mixed_dists:
+        xors = sample_bell(mixed_dist, repetitions, rng)
         if n > 1:
-            rest = sample_bell(base_dist, (repetitions, n - 1), rng)
-            xors = first ^ np.bitwise_xor.reduce(rest, axis=1)
-        else:
-            xors = first
-        per_rep = _parity_values(xors, n, nq)
-        means.append(float(np.mean(per_rep)))
-        ses.append(float(np.std(per_rep, ddof=1) / np.sqrt(repetitions)) if repetitions > 1 else 0.0)
-    value = n * (means[0] - means[1])
-    se = n * math.hypot(ses[0], ses[1])
+            xors = xors ^ np.bitwise_xor.reduce(sample_bell(base_dist, (repetitions, n - 1), rng), axis=1)
+        sides.append(_result_from_samples(_parity_values(xors, n, circuit.n_qubits), 0, "", n, seed))
+    value = n * (sides[0].value - sides[1].value)
+    se = n * math.hypot(sides[0].std_error, sides[1].std_error)
     return EstimatorResult(value, se, repetitions, 4 * n * repetitions, "gradient_shift", n, seed)
 
 
@@ -284,15 +265,8 @@ def exact_moment_gradient(circuit: Circuit, k: int, n: int) -> float:
     integer n >= 1); serves as the oracle for the sampled gradient."""
     if n < 1 or int(n) != n:
         raise ValueError("moment index must be a positive integer")
-    _check_rotation_index(circuit, k)
-    nq = circuit.n_qubits
-    psi = _prepared_state(circuit)
-    base = bell_distribution(psi, psi)
-    sides = []
-    for sign in (+1.0, -1.0):
-        shifted = _prepared_state(circuit.shifted(k, sign * np.pi / 2))
-        dists = [bell_distribution(shifted, psi)] + [base] * (n - 1)
-        sides.append(expected_parity_value(dists, n, nq))
+    base, mixed_dists = _shift_rule_distributions(circuit, k)
+    sides = [expected_parity_value([mixed] + [base] * (n - 1), n, circuit.n_qubits) for mixed in mixed_dists]
     return float(n * (sides[0] - sides[1]))
 
 
@@ -309,6 +283,7 @@ def estimate_participation(
         raise ValueError("need at least q shots")
     rng = np.random.default_rng(rng)
     psi = np.asarray(state, dtype=complex)
+    validate_state(psi)
     probs = np.abs(psi) ** 2
     groups = shots // q
     draws = rng.choice(probs.shape[0], size=(groups, q), p=probs / probs.sum())

@@ -23,7 +23,7 @@ import json
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -83,20 +83,6 @@ class ExperimentConfig:
     threads: int = 0  # 0 = one worker per available core
     output: str | None = None
     params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "n_qubits": self.n_qubits,
-            "grid": None if self.grid is None else list(self.grid),
-            "instances": self.instances,
-            "shots": self.shots,
-            "moment_indices": list(self.moment_indices),
-            "seed": self.seed,
-            "threads": self.threads,
-            "output": self.output,
-            "params": self.params,
-        }
 
 
 class ConfigError(ValueError):
@@ -614,7 +600,7 @@ def rows_to_csv(rows: list[RecordRow]) -> str:
 def rows_to_json(config: ExperimentConfig, rows: list[RecordRow]) -> str:
     return json.dumps(
         {
-            "config": config.to_dict(),
+            "config": asdict(config),
             "rows": [
                 {
                     "sweep": None if np.isnan(r.sweep) else r.sweep,

@@ -41,12 +41,6 @@ class PauliSum:
             h += g * sigma.to_matrix()
         return h
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(psi, dtype=complex)
-        for g, sigma in self.terms:
-            out += g * apply_pauli(sigma, psi)
-        return out
-
 
 def dense_of(hamiltonian) -> np.ndarray:
     h = hamiltonian.to_dense() if isinstance(hamiltonian, PauliSum) else np.asarray(hamiltonian)

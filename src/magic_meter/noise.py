@@ -13,7 +13,8 @@ from functools import cached_property
 import numpy as np
 
 from ._guards import DENSITY_QUBIT_GUARD, check_capacity
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, apply_circuit, apply_gate
+from .oracles import pauli_moment
 from .states import n_qubits_of, purity, zero_state
 
 
@@ -97,8 +98,6 @@ def apply_channel(rho: np.ndarray, model: NoiseModel, qubits=None) -> np.ndarray
 
 def _apply_gate_density(gate: Gate, rho: np.ndarray, n: int) -> np.ndarray:
     """rho -> U rho U^dag via two columnwise gate applications."""
-    from .circuits import apply_gate
-
     left = apply_gate(gate, rho, n)
     return apply_gate(gate, left.conj().T, n).conj().T
 
@@ -174,9 +173,6 @@ def relative_error_study(
 ) -> list[NoiseStudyRecord]:
     """Per (circuit, p): exact pure/noisy/mitigated Renyi entropies and the
     mitigated-to-unmitigated error ratio against impurity."""
-    from .circuits import apply_circuit
-    from .oracles import pauli_moment
-
     records = []
     for inst, circuit in enumerate(circuits):
         nq = circuit.n_qubits

@@ -16,10 +16,10 @@ import numpy as np
 
 from ._bits import symplectic_wht, wht
 from ._guards import BELL_MAGIC_QUBIT_GUARD, GAMMA_COPY_GUARD, STABILIZER_ENUM_GUARD, check_capacity
-from .circuits import Circuit, _canonical_phase, apply_gate, circuit_unitary, gate_cnot, gate_h, gate_s
+from .circuits import Circuit, apply_gate, circuit_unitary, gate_cnot, gate_h, gate_s, orbit
 from .estimators import bell_distribution
 from .paulis import PauliString, all_expectations, apply_pauli, pauli_from_index
-from .states import choi_state, n_qubits_of, validate_state
+from .states import choi_state, n_qubits_of, validate_state, zero_state
 
 
 def pauli_moment(state: np.ndarray, n) -> float:
@@ -151,21 +151,8 @@ def enumerate_stabilizer_states(n_qubits: int) -> np.ndarray:
         for t in range(1, n_qubits + 1)
         if c != t
     ]
-    start = np.zeros(1 << n_qubits, dtype=complex)
-    start[0] = 1.0
-    found: dict[bytes, np.ndarray] = {_canonical_phase(start): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for psi in frontier:
-            for g in generators:
-                phi = apply_gate(g, psi, n_qubits)
-                key = _canonical_phase(phi)
-                if key not in found:
-                    found[key] = phi
-                    nxt.append(phi)
-        frontier = nxt
-    return np.stack(list(found.values()))
+    moves = [lambda psi, g=g: apply_gate(g, psi, n_qubits) for g in generators]
+    return np.stack(orbit(zero_state(n_qubits), moves))
 
 
 def stabilizer_fidelity(state: np.ndarray) -> float:
@@ -273,14 +260,11 @@ def tsallis_monotonicity_gap(state: np.ndarray, measured_qubits, n) -> float:
     if any(q < 1 or q > nq for q in subset):
         raise ValueError("measured qubit outside register")
     before = tsallis_stabilizer_entropy(psi, n)
-    tensor = psi.reshape([2] * nq)
     axes = [q - 1 for q in subset]
+    # one row per outcome, the measured bits most significant in qubit order
+    branches = np.moveaxis(psi.reshape([2] * nq), axes, range(len(axes))).reshape(2 ** len(axes), -1)
     after = 0.0
-    for outcome in range(1 << len(subset)):
-        sel: list = [slice(None)] * nq
-        for pos, ax in enumerate(axes):
-            sel[ax] = (outcome >> (len(axes) - 1 - pos)) & 1
-        branch = tensor[tuple(sel)].reshape(-1)
+    for branch in branches:
         prob = float(np.sum(np.abs(branch) ** 2))
         if prob < 1e-12:
             continue

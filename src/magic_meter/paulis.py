@@ -49,13 +49,6 @@ class PauliString:
         return int(interleave_zx(self.z, self.x, self.n_qubits))
 
     @property
-    def bits(self) -> np.ndarray:
-        """The 2N bits (r_1, ..., r_2N), qubit 1 first."""
-        idx = self.index
-        width = 2 * self.n_qubits
-        return np.array([(idx >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-    @property
     def is_identity(self) -> bool:
         return self.z == 0 and self.x == 0
 

@@ -306,6 +306,23 @@ def test_argparse_usage_error_exit_two():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--state", "t", "--algorithm", "alg1", "--n", "3", "--format", "csv"),
+        ("gradient", "--circuit", "c.txt", "--param-index", "0", "--format", "json"),
+        ("bounds", "--state", "t", "--format", "csv"),
+        ("budget", "--seed", "1"),
+    ],
+    ids=["estimate-format", "gradient-format", "bounds-format", "budget-seed"],
+)
+def test_options_a_command_does_not_read_are_usage_errors(argv):
+    # these commands always print JSON, and budget draws nothing at random
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_env_seed_fallback(capsys, monkeypatch):
     monkeypatch.setenv("MAGIC_METER_SEED", "77")
     args = ("estimate", "--state", "t", "--algorithm", "alg2", "--n", "2", "--shots", "200")

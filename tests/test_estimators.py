@@ -247,6 +247,29 @@ def test_repetitions_below_one_are_value_errors(estimate, repetitions):
         estimate(repetitions)
 
 
+@pytest.mark.parametrize(
+    "state,defect",
+    [(np.array([2.0, 0.0]), "norm 2"), (np.array([np.nan, 0.0]), "non-finite")],
+    ids=["unnormalized", "nan"],
+)
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda s: estimate_moment_bell(s, 1, 50, np.random.default_rng(0)),
+        lambda s: estimate_moment_conjugate(s, 2, 50, np.random.default_rng(0)),
+        lambda s: estimate_purity(s, 50, np.random.default_rng(0)),
+        lambda s: estimate_bell_magic(s, 50, np.random.default_rng(0)),
+        lambda s: estimate_participation(s, 2, 50, np.random.default_rng(0)),
+    ],
+    ids=["alg1", "alg2", "purity", "bellmagic", "participation"],
+)
+def test_estimators_refuse_an_unnormalized_or_non_finite_state(estimate, state, defect):
+    # unchecked, [2, 0] estimated its normalized version: 1.0 from alg1 and
+    # participation, 0.0 from bellmagic
+    with pytest.raises(ValueError, match=defect):
+        estimate(state)
+
+
 def test_participation_estimator():
     res = estimate_participation(zero_state(2), 2, 1000, np.random.default_rng(18))
     assert res.value == 1.0 and res.std_error == 0.0

@@ -213,6 +213,18 @@ def test_every_benchmark_workload_config_resolves():
                 assert resolved.preset == doc["preset"] and resolved.seed == seed
 
 
+def test_every_traced_function_is_bound_in_its_module():
+    # read, not edited: a moved or renamed traced function fails here, not in
+    # the next traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, function, _ in tracer.TRACED:
+        bound = getattr(importlib.import_module(f"magic_meter.{module}"), function, None)
+        assert callable(bound), f"magic_meter.{module}.{function}"
+
+
 def test_random_pauli_sweep_runs_with_default_register():
     # the default register must hold the largest default K of 70 distinct strings
     rows = run_preset(ExperimentConfig(preset="random_pauli_sweep", grid=(1.0,), instances=1))

@@ -6,7 +6,9 @@ Sylvester matrix.
 3-axis view.  The reference kernels below instead view the array as a
 [2]*n tensor, contract the qubit's axis with `np.tensordot` and move it back
 with `np.moveaxis`; they are an independent check of the block products,
-including the last qubit, whose trailing block has size 1.
+including the last qubit, whose trailing block has size 1.  CNOT is a row
+permutation; the reference flips the target axis of the control-1 half of
+the same tensor, and the two agree bit for bit.
 
 `wht` is a product of Hadamard factors of at most 32 rows; the butterfly
 and the dense matrix sum in other orders, so they agree to a tolerance of
@@ -29,6 +31,7 @@ from magic_meter.circuits import (
     apply_gate,
     circuit_unitary,
     gate_clifford,
+    gate_cnot,
     gate_h,
     gate_s,
     gate_t,
@@ -98,6 +101,29 @@ def test_apply_gate_matches_tensordot_reference(n, name):
             np.testing.assert_allclose(
                 np.linalg.norm(got, axis=0), np.linalg.norm(psi, axis=0), rtol=1e-13
             )
+
+
+def reference_cnot(psi, control, target, n):
+    """CNOT on 1-based qubits of a statevector or (2^n, m) matrix."""
+    tail = psi.shape[1] if psi.ndim == 2 else 1
+    tensor = psi.reshape([2] * n + [tail]).copy()
+    c, t = control - 1, target - 1
+    sel = [slice(None)] * n
+    sel[c] = 1
+    sub = tensor[tuple(sel)]
+    tensor[tuple(sel)] = np.flip(sub, axis=t if t < c else t - 1)
+    return tensor.reshape(psi.shape)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cnot_matches_flip_reference(n):
+    rng = np.random.default_rng(500 + n)
+    for psi in _inputs(n, rng):
+        for c in range(1, n + 1):
+            for t in range(1, n + 1):
+                if c != t:
+                    got = apply_gate(gate_cnot(c, t), psi, n)
+                    np.testing.assert_array_equal(got, reference_cnot(psi, c, t, n))
 
 
 LOCAL_KINDS = [NoiseKind.LOCAL_DEPOLARIZING, NoiseKind.DEPHASING, NoiseKind.AMPLITUDE_DAMPING]
