@@ -17,11 +17,8 @@ from magic_meter import (
 print("layered Clifford circuits with 4 qubits, T-doping 0 and 8:")
 cfg = ExperimentConfig(
     preset="scrambling_depth_sweep",
-    n_qubits=4,
-    grid=(1, 2, 3, 5, 8, 12, 20, 30),
-    instances=300,
     seed=5,
-    params={"tgates": (0, 8)},
+    params={"qubits": 4, "grid": (1, 2, 3, 5, 8, 12, 20, 30), "instances": 300, "tgates": (0, 8)},
 )
 rows = run_preset(cfg)
 for n_t in (0, 8):
@@ -35,10 +32,8 @@ for n_t in (0, 8):
 print("\nGUE evolution at 3 qubits (flatness dip and ramp):")
 cfg = ExperimentConfig(
     preset="gue_time_sweep",
-    n_qubits=3,
-    grid=tuple(np.logspace(-1, 3, 17)),
-    instances=400,
     seed=6,
+    params={"qubits": 3, "grid": tuple(np.logspace(-1, 3, 17)), "instances": 400},
 )
 rows = run_preset(cfg)
 print("      t        flatness")

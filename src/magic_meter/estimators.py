@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -131,9 +132,9 @@ def _parity_values(xors: np.ndarray, n: int, n_qubits: int) -> np.ndarray:
     return np.where(np.asarray(xors) == 0, float(2**n_qubits), 0.0)
 
 
-def _check_repetitions(repetitions: int) -> None:
-    if repetitions < 1 or int(repetitions) != repetitions:
-        raise ValueError(f"repetitions must be an integer of at least 1, got {repetitions!r}")
+def _check_count(value, name: str, least: int = 1) -> None:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _even_n_guard(n: int, allow_even: bool, what: str) -> None:
@@ -160,7 +161,7 @@ def estimate_moment_bell(
     """
     if n < 1 or int(n) != n:
         raise ValueError("moment index must be a positive integer")
-    _check_repetitions(repetitions)
+    _check_count(repetitions, "repetitions")
     _even_n_guard(n, allow_even, "the two-copy Bell estimator")
     rng = np.random.default_rng(rng)
     nq = n_qubits_of(state)
@@ -180,7 +181,7 @@ def estimate_moment_conjugate(
     n >= 2."""
     if n < 2 or int(n) != n:
         raise ValueError("the conjugate-sampling estimator needs integer n >= 2")
-    _check_repetitions(repetitions)
+    _check_count(repetitions, "repetitions")
     state = np.asarray(state, dtype=complex)
     if state.ndim != 1:
         raise ValueError("needs a pure state (the simulator builds psi*)")
@@ -237,7 +238,7 @@ def estimate_moment_gradient(
     n (B_+ - B_-)."""
     if n < 1 or int(n) != n:
         raise ValueError("moment index must be a positive integer")
-    _check_repetitions(repetitions)
+    _check_count(repetitions, "repetitions")
     _even_n_guard(n, allow_even, "the gradient estimator")
     base_dist, mixed_dists = _shift_rule_distributions(circuit, k)
     rng = np.random.default_rng(rng)
@@ -277,10 +278,8 @@ def estimate_participation(
 ) -> EstimatorResult:
     """Participation entropy I_q from computational-basis samples: disjoint
     groups of q shots score 1 when all q bitstrings coincide."""
-    if q < 2 or int(q) != q:
-        raise ValueError("q must be an integer >= 2")
-    if shots < q:
-        raise ValueError("need at least q shots")
+    _check_count(q, "q", 2)
+    _check_count(shots, "shots", q)
     rng = np.random.default_rng(rng)
     psi = np.asarray(state, dtype=complex)
     validate_state(psi)
@@ -311,7 +310,7 @@ def estimate_bell_magic(
     """Bell-magic estimator: each repetition draws two Bell-difference
     outcomes (two Bell samples each) and scores 2 when the corresponding Pauli
     strings anticommute."""
-    _check_repetitions(repetitions)
+    _check_count(repetitions, "repetitions")
     rng = np.random.default_rng(rng)
     nq = n_qubits_of(state)
     dist = bell_distribution(state, state)

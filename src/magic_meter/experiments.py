@@ -6,16 +6,19 @@ RNG streams derived from (seed, sweep index, instance index), and emits
 RecordRow tables: mean and sample standard deviation per quantity, plus the
 separate shot standard error for estimated quantities.
 
-All presets share one skeleton.  _PRESETS declares each preset's default
-qubit count, grid and instance count and the preset's own keys with their
-defaults; run_preset fills in the defaults for whatever the config leaves
-out and rejects non-positive sizes and keys the preset does not own.  A
-preset's instance function ``one(i)`` returns ``(values, tail)``:
-``values[sweep, quantity]`` for every grid point and the per-instance
-analytic ``tail[quantity]``, which belongs to no grid point.  _instances
-stacks them over instances into ``values[instance, sweep, quantity]``, and
-_rows turns such an array into rows, mean and ddof=1 std over instances
-with NaN entries skipped.
+An ExperimentConfig holds the run settings every preset takes (seed,
+threads, output) and, in ``params``, the preset's keys under their config
+file names.  Two tables declare every key: _PRESETS lists each key a preset
+reads with its default, and _LEAST the least value of each integer key.
+run_preset fills in the defaults and checks every key against those two
+tables only; a key the preset does not read is a ConfigError.
+
+All presets share one skeleton.  A preset's instance function ``one(i)``
+returns ``(values, tail)``: ``values[sweep, quantity]`` for every grid point
+and the per-instance analytic ``tail[quantity]``, which belongs to no grid
+point.  _instances stacks them over instances into
+``values[instance, sweep, quantity]``, and _rows turns such an array into
+rows, mean and ddof=1 std over instances with NaN entries skipped.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import json
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -73,16 +76,13 @@ class RecordRow:
 
 @dataclass
 class ExperimentConfig:
+    """A preset, its keys by config file name (``params``; _PRESETS gives
+    each preset's keys and defaults) and the run settings every preset takes."""
     preset: str
-    n_qubits: int | None = None
-    grid: tuple[float, ...] | None = None
-    instances: int | None = None
-    shots: int = 1000
-    moment_indices: tuple[int, ...] = (2, 3)
+    params: dict = field(default_factory=dict)
     seed: int | None = 0  # None: unset; the CLI then reads MAGIC_METER_SEED, run_preset uses 0
     threads: int = 0  # 0 = one worker per available core
     output: str | None = None
-    params: dict = field(default_factory=dict)
 
 
 class ConfigError(ValueError):
@@ -108,14 +108,13 @@ def _parse_value(text: str):
     return _parse_scalar(text)
 
 
-def _as_tuple(value) -> tuple | None:
+_SEQUENCES = (list, tuple, np.ndarray)
+
+
+def _as_tuple(value) -> tuple:
     """A sequence as a tuple and a scalar as a 1-tuple (the flat format reads
-    `key = 4` as a scalar and `key = 4, 5` as a tuple); None stays None."""
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return tuple(value)
-    return (value,)
+    `key = 4` as a scalar and `key = 4, 5` as a tuple)."""
+    return tuple(value) if isinstance(value, _SEQUENCES) else (value,)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -137,22 +136,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
             doc[key.strip()] = _parse_value(value)
     if "preset" not in doc:
         raise ConfigError("missing required field 'preset'")
-    # the common fields, under their ExperimentConfig names or the short
-    # `qubits` and `n`; every other key goes to params
-    known = {"qubits", "n"} | {f.name for f in fields(ExperimentConfig)} - {"params"}
-    # a field left out takes its default from the ExperimentConfig dataclass
-    moments = doc.get("n", doc.get("moment_indices", ExperimentConfig.moment_indices))
+    # the run settings are fields; every other key goes to params as written
     return ExperimentConfig(
-        preset=str(doc["preset"]),
-        n_qubits=doc.get("qubits", doc.get("n_qubits")),
-        grid=_as_tuple(doc.get("grid")),
-        instances=doc.get("instances"),
-        shots=doc.get("shots", ExperimentConfig.shots),
-        moment_indices=_as_tuple(moments),
-        seed=doc.get("seed"),
-        threads=doc.get("threads", ExperimentConfig.threads),
-        output=doc.get("output"),
-        params={k: v for k, v in doc.items() if k not in known},
+        preset=str(doc.pop("preset")),
+        seed=doc.pop("seed", None),
+        threads=doc.pop("threads", ExperimentConfig.threads),
+        output=doc.pop("output", None),
+        params=doc,
     )
 
 
@@ -189,12 +179,13 @@ def _instances(config: ExperimentConfig, one) -> tuple[np.ndarray, np.ndarray]:
     """Run the instance function for every instance on the worker pool and
     stack what it returns into values[instance, sweep, quantity] and
     tail[instance, quantity]."""
+    instances = config.params["instances"]
     workers = (os.cpu_count() or 1) if config.threads <= 0 else config.threads
-    if workers == 1 or config.instances == 1:
-        results = [one(i) for i in range(config.instances)]
+    if workers == 1 or instances == 1:
+        results = [one(i) for i in range(instances)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(config.instances)))
+            results = list(pool.map(one, range(instances)))
     return (
         np.array([values for values, _ in results], dtype=float),
         np.array([tail for _, tail in results], dtype=float),
@@ -204,7 +195,7 @@ def _instances(config: ExperimentConfig, one) -> tuple[np.ndarray, np.ndarray]:
 def _sweep_rows(config: ExperimentConfig, one, names, tail_names) -> list[RecordRow]:
     """Exact rows of every grid point, then the analytic tail at sweep NaN."""
     values, tail = _instances(config, one)
-    return _rows(config.grid, names, values, "exact") + _rows(
+    return _rows(config.params["grid"], names, values, "exact") + _rows(
         (float("nan"),), tail_names, tail[:, None], "analytic"
     )
 
@@ -286,9 +277,9 @@ def _spot_check_estimates(grid, names, values: np.ndarray, moment_indices, seed:
 
 
 def _preset_doped_clifford(config: ExperimentConfig) -> list[RecordRow]:
-    nq, grid = config.n_qubits, config.grid
+    nq, grid, ns, shots = (config.params[key] for key in ("qubits", "grid", "n", "shots"))
     depth = config.params["clifford_depth"]
-    names = [q.format(n=n) for n in config.moment_indices for q in _DOPED_QUANTITIES]
+    names = [q.format(n=n) for n in ns for q in _DOPED_QUANTITIES]
     names += ["fstab_exact"] if nq <= 3 else []
 
     def one(i):
@@ -296,17 +287,17 @@ def _preset_doped_clifford(config: ExperimentConfig) -> list[RecordRow]:
         for si, n_t in enumerate(grid):
             rng = _instance_rng(config.seed, si, i)
             psi = doped_clifford_state(nq, int(n_t), rng, clifford_depth=depth)
-            point = [v for n in config.moment_indices for v in _doped_point(psi, n, config.shots, rng)]
+            point = [v for n in ns for v in _doped_point(psi, n, shots, rng)]
             if nq <= 3:
                 point.append(stabilizer_fidelity(psi))
             values.append(point)
         return values, []
 
     values, _ = _instances(config, one)
-    _spot_check_estimates(grid, names, values, config.moment_indices, config.seed)
+    _spot_check_estimates(grid, names, values, ns, config.seed)
     rows = _rows(grid, names, values, ["estimated" if "_est" in q else "exact" for q in names])
     haar_samples = config.params["haar_samples"]
-    for n in config.moment_indices:
+    for n in ns:
         ref = haar_reference(nq, n, haar_samples, _instance_rng(config.seed, 10_000 + n))
         rows.append(RecordRow(float("nan"), f"T{n}_haar", ref["tsallis_mean"], ref["tsallis_se"], haar_samples, "analytic"))
         rows.append(RecordRow(float("nan"), f"A{n}_haar", ref["moment_mean"], ref["moment_se"], haar_samples, "analytic"))
@@ -332,7 +323,7 @@ def _depths(grid) -> tuple[int, ...]:
 
 
 def _preset_scrambling_depth(config: ExperimentConfig) -> list[RecordRow]:
-    nq, depths = config.n_qubits, _depths(config.grid)
+    nq, depths = config.params["qubits"], _depths(config.params["grid"])
     depth_max = max(depths)
     tgate_counts = config.params["tgates"]
     x1, zn = _edge_paulis(nq)
@@ -366,7 +357,7 @@ def _dynamic_quantities(u: np.ndarray, psi_t: np.ndarray, x1, zn) -> list[float]
 
 
 def _time_sweep(config: ExperimentConfig, hamiltonian_factory, label: str) -> list[RecordRow]:
-    nq, grid = config.n_qubits, config.grid
+    nq, grid = config.params["qubits"], config.params["grid"]
     x1, zn = _edge_paulis(nq)
     psi0 = zero_state(nq)
 
@@ -414,7 +405,7 @@ def _preset_ising(config: ExperimentConfig) -> list[RecordRow]:
 
 
 def _preset_random_circuit_depth(config: ExperimentConfig) -> list[RecordRow]:
-    nq, depths = config.n_qubits, _depths(config.grid)
+    nq, depths = config.params["qubits"], _depths(config.params["grid"])
     depth_max = max(depths)
     x1, zn = _edge_paulis(nq)
     psi0 = zero_state(nq)
@@ -443,7 +434,7 @@ def product_state_d_min(n_qubits: int, s: float) -> float:
 
 
 def _preset_monotone_relation(config: ExperimentConfig) -> list[RecordRow]:
-    counts = config.params["qubit_counts"]
+    counts, grid = config.params["qubit_counts"], config.params["grid"]
 
     def point(nq: int, s: float) -> list[float]:
         psi = product_phase_state(nq, s)
@@ -455,19 +446,21 @@ def _preset_monotone_relation(config: ExperimentConfig) -> list[RecordRow]:
         ]
 
     names = [f"{q}_N{nq}" for nq in counts for q in ("M2", "M_half", "D_min", "B_add")]
-    values = [[v for nq in counts for v in point(nq, float(s))] for s in config.grid]
-    return _rows(config.grid, names, np.array([values], dtype=float), "exact")
+    values = [[v for nq in counts for v in point(nq, float(s))] for s in grid]
+    return _rows(grid, names, np.array([values], dtype=float), "exact")
 
 
 def _preset_noise_mitigation(config: ExperimentConfig) -> list[RecordRow]:
-    nq, p_grid = config.n_qubits, config.grid
-    depth = config.params["depth"]
-    n = config.moment_indices[0]
+    nq, p_grid, depth, n = (config.params[key] for key in ("qubits", "grid", "depth", "n"))
+    kinds = [kind.value for kind in NoiseKind]
+    bad_models = [model for model in config.params["models"] if model not in kinds]
+    if bad_models:
+        raise ConfigError(f"models: unknown noise model {bad_models[0]!r}; known: {', '.join(kinds)}")
     rows: list[RecordRow] = []
     for family_idx, (family, n_t) in enumerate((("clifford", 0), ("doped", nq))):
         circuits = [
             doped_layered_circuit(nq, depth, n_t, _instance_rng(config.seed, family_idx, i))
-            for i in range(config.instances)
+            for i in range(config.params["instances"])
         ]
         for model_name in config.params["models"]:
             records = relative_error_study(circuits, NoiseKind(model_name), p_grid, n=n)
@@ -497,94 +490,80 @@ def _preset_noise_mitigation(config: ExperimentConfig) -> list[RecordRow]:
 
 _TIME_GRID = tuple(np.logspace(-1, 3, 41))
 
-# preset -> (function, default qubits, default grid, default instances, the
-# preset's own keys with their defaults).  A key whose default is a tuple
-# takes a scalar as a 1-tuple.  The monotone sweep sets its register sizes
-# through `qubit_counts` and has one instance per point.
+# preset -> (function, every key the preset reads with its default).  A key
+# whose default is a tuple takes a scalar as a 1-tuple; any other key takes
+# one value.  The monotone sweep sets its register sizes through
+# `qubit_counts` and has one instance per point.
 _PRESETS = {
-    "doped_clifford_sweep": (
-        _preset_doped_clifford, 3, tuple(range(7)), 6,
+    "doped_clifford_sweep": (_preset_doped_clifford, {
+        "qubits": 3, "grid": tuple(range(7)), "instances": 6, "n": (2, 3), "shots": 1000,
         # clifford_depth None: the proxy depth of 10 layers per qubit
-        {"clifford_depth": None, "haar_samples": 2000},
-    ),
-    "scrambling_depth_sweep": (
-        _preset_scrambling_depth, 4, tuple(range(1, 41)), 100, {"tgates": (0, 4, 16)},
-    ),
-    "gue_time_sweep": (_preset_gue_time, 3, _TIME_GRID, 200, {}),
+        "clifford_depth": None, "haar_samples": 2000,
+    }),
+    "scrambling_depth_sweep": (_preset_scrambling_depth, {
+        "qubits": 4, "grid": tuple(range(1, 41)), "instances": 100, "tgates": (0, 4, 16),
+    }),
+    "gue_time_sweep": (_preset_gue_time, {"qubits": 3, "grid": _TIME_GRID, "instances": 200}),
     # N = 3 has only 63 non-identity strings, fewer than the largest default K
-    "random_pauli_sweep": (_preset_random_pauli, 4, _TIME_GRID, 200, {"k_terms": (4, 16, 70)}),
-    "ising_sweep": (_preset_ising, 3, _TIME_GRID, 200, {"disorder": (0.5, 5.0), "delta": 0.2}),
-    "random_circuit_depth": (_preset_random_circuit_depth, 3, tuple(range(1, 21)), 50, {}),
-    "monotone_relation_sweep": (
-        _preset_monotone_relation, None, tuple(np.round(np.linspace(0.1, 1.0, 10), 10)), None,
-        {"qubit_counts": (1, 2, 3, 4)},
+    "random_pauli_sweep": (_preset_random_pauli, {
+        "qubits": 4, "grid": _TIME_GRID, "instances": 200, "k_terms": (4, 16, 70),
+    }),
+    "ising_sweep": (_preset_ising, {
+        "qubits": 3, "grid": _TIME_GRID, "instances": 200, "disorder": (0.5, 5.0), "delta": 0.2,
+    }),
+    "random_circuit_depth": (
+        _preset_random_circuit_depth, {"qubits": 3, "grid": tuple(range(1, 21)), "instances": 50},
     ),
-    "noise_mitigation_study": (
-        _preset_noise_mitigation, 6, (2e-5, 1e-4, 5e-4, 2e-3), 20,
-        {"depth": 20, "models": ("local_depolarizing", "dephasing", "amplitude_damping")},
-    ),
+    "monotone_relation_sweep": (_preset_monotone_relation, {
+        "grid": tuple(np.round(np.linspace(0.1, 1.0, 10), 10)), "qubit_counts": (1, 2, 3, 4),
+    }),
+    "noise_mitigation_study": (_preset_noise_mitigation, {
+        "qubits": 6, "grid": (2e-5, 1e-4, 5e-4, 2e-3), "instances": 20, "n": 2, "depth": 20,
+        "models": ("local_depolarizing", "dephasing", "amplitude_damping"),
+    }),
 }
 
 PRESETS = tuple(_PRESETS)
 
+# the least value of each integer key and of each entry of an integer tuple
+_LEAST = {
+    "seed": 0, "threads": 0, "qubits": 1, "instances": 1, "shots": 1, "n": 1, "depth": 1,
+    "clifford_depth": 0, "haar_samples": 2, "tgates": 0, "k_terms": 1, "qubit_counts": 1,
+}
+
 
 def _resolve(config: ExperimentConfig) -> ExperimentConfig:
-    """A copy of the config with the preset's defaults filled in for fields
-    left as None and for own keys left out.  Raises ConfigError, naming the
-    field, for a key the preset does not own, a null own key, an unknown noise
-    model, an integer field that is no integer or is below its minimum, or an
-    empty grid or moment list."""
+    """A copy of the config with the seed set and the preset's defaults filled
+    in for keys left out.  Raises ConfigError, naming the key, for a key the
+    preset does not read, a null key whose default is not null, a list for a
+    one-value key, an empty list, or an integer key that is no integer or is
+    below its least value."""
     if config.preset not in _PRESETS:
         raise ConfigError(f"unknown preset {config.preset!r}; known: {', '.join(PRESETS)}")
-    _, qubits, grid, instances, own = _PRESETS[config.preset]
-    bad_keys = [key for key in config.params if key not in own]
+    keys = _PRESETS[config.preset][1]
+    bad_keys = [key for key in config.params if key not in keys]
     if bad_keys:
         raise ConfigError(
-            f"unknown key {bad_keys[0]!r} for preset {config.preset}; "
-            f"its own keys: {', '.join(own) or 'none'}"
+            f"unknown key {bad_keys[0]!r} for preset {config.preset}; its keys: {', '.join(keys)}"
         )
-    nulls = [key for key, value in config.params.items() if value is None and own[key] is not None]
-    if nulls:
-        raise ConfigError(f"{nulls[0]} must not be null")
-    params = {**own, **config.params}
-    for key, default in own.items():
+    params = {**keys, **config.params}
+    for key, default in keys.items():
+        if params[key] is None and default is not None:
+            raise ConfigError(f"{key} must not be null")
         if isinstance(default, tuple):
             params[key] = _as_tuple(params[key])
-    kinds = [kind.value for kind in NoiseKind]
-    bad_models = [model for model in params.get("models", ()) if model not in kinds]
-    if bad_models:
-        raise ConfigError(f"models: unknown noise model {bad_models[0]!r}; known: {', '.join(kinds)}")
-    resolved = replace(
-        config,
-        n_qubits=qubits if config.n_qubits is None else config.n_qubits,
-        grid=grid if config.grid is None else config.grid,
-        instances=instances if config.instances is None else config.instances,
-        seed=0 if config.seed is None else config.seed,
-        params=params,
-    )
-    if not resolved.moment_indices:
-        raise ConfigError(f"n must be a non-empty list of integers, got {resolved.moment_indices!r}")
-    for name, value, least in (
-        ("qubits", resolved.n_qubits, 1),
-        ("instances", resolved.instances, 1),
-        ("shots", resolved.shots, 1),
-        ("seed", resolved.seed, 0),
-        ("threads", resolved.threads, 0),
-        *(("n", m, 1) for m in resolved.moment_indices),
-        *(("tgates", t, 0) for t in params.get("tgates", ())),
-        *(("k_terms", k, 1) for k in params.get("k_terms", ())),
-        *(("qubit_counts", c, 1) for c in params.get("qubit_counts", ())),
-        ("haar_samples", params.get("haar_samples"), 2),
-        ("depth", params.get("depth"), 1),
-        ("clifford_depth", params.get("clifford_depth"), 0),
-    ):
-        # None stands for a preset default of None or a key the preset does not own
-        if value is None and name not in ("shots", "threads", "n"):
+            if not params[key]:
+                raise ConfigError(f"{key} must not be empty")
+        elif isinstance(params[key], _SEQUENCES):
+            raise ConfigError(f"{key} takes one value, got {params[key]!r}")
+    resolved = replace(config, seed=0 if config.seed is None else config.seed, params=params)
+    # a null that reaches here is a key whose default is null
+    for key, value in {"seed": resolved.seed, "threads": resolved.threads, **params}.items():
+        if key not in _LEAST or (value is None and key in params):
             continue
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
-            raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
-    if len(resolved.grid) == 0:
-        raise ConfigError("grid must not be empty")
+        for entry in value if isinstance(keys.get(key), tuple) else (value,):
+            if isinstance(entry, bool) or not (isinstance(entry, numbers.Integral) and entry >= _LEAST[key]):
+                raise ConfigError(f"{key} must be an integer of at least {_LEAST[key]}, got {entry!r}")
     return resolved
 
 

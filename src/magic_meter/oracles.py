@@ -158,6 +158,7 @@ def enumerate_stabilizer_states(n_qubits: int) -> np.ndarray:
 def stabilizer_fidelity(state: np.ndarray) -> float:
     """max_phi |<psi|phi>|^2 over all pure stabilizer states (N <= 3)."""
     state = np.asarray(state, dtype=complex)
+    validate_state(state)
     table = enumerate_stabilizer_states(n_qubits_of(state))
     return float(np.max(np.abs(table.conj() @ state) ** 2))
 

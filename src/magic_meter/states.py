@@ -18,13 +18,13 @@ def n_qubits_of(state: np.ndarray) -> int:
     return n
 
 
-STATE_TOL = 1e-8  # allowed deviation of the norm or the trace from 1
+STATE_TOL = 1e-8  # allowed deviation of the norm or trace from 1, of rho from rho^dagger, and below 0
 
 
 def validate_state(state) -> None:
     """Check that ``state`` is a finite statevector of unit norm or a finite
-    square matrix of unit trace, of power-of-two dimension.  Raises
-    ``ValueError`` naming the defect."""
+    Hermitian, positive semidefinite matrix of unit trace, of power-of-two
+    dimension.  Raises ``ValueError`` naming the defect."""
     state = np.asarray(state)
     if state.ndim not in (1, 2) or state.shape[0] != state.shape[-1]:
         raise ValueError(f"a state must be a vector or a square matrix, got shape {state.shape}")
@@ -39,6 +39,12 @@ def validate_state(state) -> None:
         trace = complex(np.trace(state))
         if abs(trace - 1.0) > STATE_TOL:
             raise ValueError(f"density matrix has trace {trace:.12g}, not 1")
+        residual = float(np.max(np.abs(state - state.conj().T)))
+        if residual > STATE_TOL:
+            raise ValueError(f"density matrix is not Hermitian: |rho - rho^dagger| reaches {residual:.3g}")
+        least = float(np.linalg.eigvalsh(state)[0])
+        if least < -STATE_TOL:
+            raise ValueError(f"density matrix is not positive: it has eigenvalue {least:.12g}")
 
 
 def zero_state(n_qubits: int) -> np.ndarray:

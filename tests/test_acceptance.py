@@ -367,14 +367,12 @@ def test_criterion_12_determinism():
         assert a == b
     cfg = ExperimentConfig(
         preset="doped_clifford_sweep",
-        n_qubits=2,
-        grid=(0, 1),
-        instances=2,
-        shots=64,
-        moment_indices=(3,),
         seed=3,
         threads=2,
-        params={"clifford_depth": 4, "haar_samples": 30},
+        params={
+            "qubits": 2, "grid": (0, 1), "instances": 2, "shots": 64, "n": (3,),
+            "clifford_depth": 4, "haar_samples": 30,
+        },
     )
     assert rows_to_csv(run_preset(cfg)) == rows_to_csv(run_preset(cfg))
     _report(12, "seeded determinism of estimators and presets")

@@ -231,7 +231,7 @@ def test_gradient_index_validation():
         estimate_moment_gradient(_phase_circuit(0.1), 3, 3, 10, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("repetitions", [0, -1, 2.5])
+@pytest.mark.parametrize("repetitions", [0, -1, 2.5, 10.0, True])
 @pytest.mark.parametrize(
     "estimate",
     [
@@ -268,6 +268,16 @@ def test_estimators_refuse_an_unnormalized_or_non_finite_state(estimate, state, 
     # participation, 0.0 from bellmagic
     with pytest.raises(ValueError, match=defect):
         estimate(state)
+
+
+@pytest.mark.parametrize(
+    "q, shots, name",
+    [(2.0, 10, "q"), (True, 10, "q"), (1, 10, "q"), (2, 10.5, "shots"), (2, 10.0, "shots"), (3, 2, "shots")],
+)
+def test_participation_counts_must_be_integers(q, shots, name):
+    # unchecked, a float q or shots leaked numpy's TypeError from rng.choice
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        estimate_participation(t_state(), q, shots, np.random.default_rng(0))
 
 
 def test_participation_estimator():

@@ -41,9 +41,9 @@ def test_config_parsing_text():
         """
     )
     assert cfg.preset == "doped_clifford_sweep"
-    assert cfg.n_qubits == 3
-    assert cfg.grid == (0, 1, 2)
-    assert cfg.moment_indices == (3,)
+    assert cfg.params["qubits"] == 3
+    assert cfg.params["grid"] == (0, 1, 2)
+    assert _resolve(cfg).params["n"] == (3,)
     assert cfg.seed == 7
     assert cfg.params["clifford_depth"] == 5
 
@@ -53,7 +53,7 @@ def test_config_parsing_json(tmp_path):
     p.write_text('{"preset": "gue_time_sweep", "qubits": 2, "grid": [0.1, 1.0], "instances": 3}')
     cfg = load_config(str(p))
     assert cfg.preset == "gue_time_sweep"
-    assert cfg.grid == (0.1, 1.0)
+    assert _resolve(cfg).params["grid"] == (0.1, 1.0)
 
 
 def test_config_missing_preset():
@@ -91,7 +91,7 @@ def test_nonpositive_sizes_are_config_errors(capsys, tmp_path, field, value):
 
 _SMALL_SWEEP = {"preset": "scrambling_depth_sweep", "qubits": 2, "grid": [1], "instances": 1}
 _SMALL_NOISE = {"preset": "noise_mitigation_study", "qubits": 2, "grid": [1e-3], "instances": 1,
-                "depth": 2, "n": [2], "models": ["dephasing"]}
+                "depth": 2, "n": 2, "models": ["dephasing"]}
 _SMALL_DOPED = {"preset": "doped_clifford_sweep", "qubits": 2, "grid": [0], "instances": 1,
                 "shots": 10, "haar_samples": 2}
 
@@ -141,7 +141,7 @@ def test_integer_fields_are_checked_not_truncated(capsys, tmp_path, case):
 @pytest.mark.parametrize("preset", ["scrambling_depth_sweep", "random_circuit_depth"])
 def test_depth_grid_points_must_be_integers_of_at_least_one(preset, depth):
     with pytest.raises(ConfigError, match="grid"):
-        run_preset(ExperimentConfig(preset=preset, n_qubits=2, grid=(depth, 2), instances=1))
+        run_preset(ExperimentConfig(preset=preset, params={"qubits": 2, "grid": (depth, 2), "instances": 1}))
 
 
 # one misspelling of a key per preset; the presets without own keys get a
@@ -172,6 +172,41 @@ def test_misspelled_key_is_config_error(capsys, tmp_path, preset):
     assert err.startswith("config error:") and f"'{key}'" in err
 
 
+# every key each preset reads; another preset's key, and the old config field
+# names n_qubits and moment_indices, were once accepted and ignored
+_READS = {
+    "doped_clifford_sweep": {"qubits", "grid", "instances", "n", "shots", "clifford_depth", "haar_samples"},
+    "scrambling_depth_sweep": {"qubits", "grid", "instances", "tgates"},
+    "gue_time_sweep": {"qubits", "grid", "instances"},
+    "random_pauli_sweep": {"qubits", "grid", "instances", "k_terms"},
+    "ising_sweep": {"qubits", "grid", "instances", "disorder", "delta"},
+    "random_circuit_depth": {"qubits", "grid", "instances"},
+    "monotone_relation_sweep": {"grid", "qubit_counts"},
+    "noise_mitigation_study": {"qubits", "grid", "instances", "n", "depth", "models"},
+}
+_UNREAD_KEYS = {
+    f"{preset}-{key}": (json.dumps({"preset": preset, key: 2}), f"unknown key '{key}'")
+    for preset, reads in _READS.items()
+    for key in sorted(set().union(*_READS.values(), {"n_qubits", "moment_indices"}) - reads)
+}
+# the noise study reads one moment index; n = 2, 3 once ran n = 2 alone
+_UNREAD_KEYS["noise_mitigation_study-n_list"] = ("preset = noise_mitigation_study\nn = 2, 3\n", "n takes one value")
+
+
+@pytest.mark.parametrize("case", sorted(_UNREAD_KEYS))
+def test_a_key_the_preset_does_not_read_is_config_error(capsys, tmp_path, case):
+    from magic_meter.cli import main
+
+    text, message = _UNREAD_KEYS[case]
+    with pytest.raises(ConfigError, match=message):
+        _resolve(parse_config_text(text))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["experiment", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 def test_unknown_noise_model_is_config_error(capsys, tmp_path):
     from magic_meter.cli import main
 
@@ -193,8 +228,11 @@ def test_flat_scalar_of_a_tuple_key_is_a_one_tuple():
 def test_clifford_depth_zero_reaches_the_circuit_builder():
     # no Clifford layers: T gates on |0...0> leave a stabilizer state, A_2 = 1
     rows = run_preset(ExperimentConfig(
-        preset="doped_clifford_sweep", n_qubits=2, grid=(3,), instances=1, shots=10,
-        moment_indices=(2,), params={"clifford_depth": 0, "haar_samples": 2},
+        preset="doped_clifford_sweep",
+        params={
+            "qubits": 2, "grid": (3,), "instances": 1, "shots": 10, "n": (2,), "clifford_depth": 0,
+            "haar_samples": 2,
+        },
     ))
     assert _rows_by_quantity(rows, "A2_exact")[0].mean == pytest.approx(1.0, abs=1e-12)
 
@@ -227,7 +265,7 @@ def test_every_traced_function_is_bound_in_its_module():
 
 def test_random_pauli_sweep_runs_with_default_register():
     # the default register must hold the largest default K of 70 distinct strings
-    rows = run_preset(ExperimentConfig(preset="random_pauli_sweep", grid=(1.0,), instances=1))
+    rows = run_preset(ExperimentConfig(preset="random_pauli_sweep", params={"grid": (1.0,), "instances": 1}))
     assert {r.quantity for r in rows} >= {"flatness_K4", "flatness_K16", "flatness_K70"}
 
 
@@ -242,13 +280,11 @@ def test_haar_reference_scaling():
 def test_doped_clifford_sweep_structure():
     cfg = ExperimentConfig(
         preset="doped_clifford_sweep",
-        n_qubits=2,
-        grid=(0, 1),
-        instances=2,
-        shots=64,
-        moment_indices=(3,),
         seed=1,
-        params={"clifford_depth": 4, "haar_samples": 50},
+        params={
+            "qubits": 2, "grid": (0, 1), "instances": 2, "shots": 64, "n": (3,),
+            "clifford_depth": 4, "haar_samples": 50,
+        },
     )
     rows = run_preset(cfg)
     t3 = _rows_by_quantity(rows, "T3_exact")
@@ -265,13 +301,11 @@ def test_doped_clifford_sweep_structure():
 def test_doped_sweep_estimates_track_exact():
     cfg = ExperimentConfig(
         preset="doped_clifford_sweep",
-        n_qubits=3,
-        grid=(0, 2, 4),
-        instances=4,
-        shots=1500,
-        moment_indices=(3,),
         seed=3,
-        params={"haar_samples": 50},
+        params={
+            "qubits": 3, "grid": (0, 2, 4), "instances": 4, "shots": 1500, "n": (3,),
+            "haar_samples": 50,
+        },
     )
     rows = run_preset(cfg)
     for sweep in (0.0, 2.0, 4.0):
@@ -285,11 +319,8 @@ def test_doped_sweep_estimates_track_exact():
 def test_scrambling_depth_sweep_small():
     cfg = ExperimentConfig(
         preset="scrambling_depth_sweep",
-        n_qubits=2,
-        grid=(1, 5, 10),
-        instances=30,
         seed=4,
-        params={"tgates": (0,)},
+        params={"qubits": 2, "grid": (1, 5, 10), "instances": 30, "tgates": (0,)},
     )
     rows = run_preset(cfg)
     otoc_rows = _rows_by_quantity(rows, "otoc8_x1x1_NT0")
@@ -308,10 +339,8 @@ def test_scrambling_depth_sweep_small():
 def test_gue_time_sweep_rows():
     cfg = ExperimentConfig(
         preset="gue_time_sweep",
-        n_qubits=2,
-        grid=(0.1, 1.0, 100.0),
-        instances=40,
         seed=5,
+        params={"qubits": 2, "grid": (0.1, 1.0, 100.0), "instances": 40},
     )
     rows = run_preset(cfg)
     flat = _rows_by_quantity(rows, "flatness")
@@ -325,21 +354,15 @@ def test_gue_time_sweep_rows():
 def test_random_pauli_and_ising_sweeps_run():
     cfg = ExperimentConfig(
         preset="random_pauli_sweep",
-        n_qubits=2,
-        grid=(0.5, 5.0),
-        instances=5,
         seed=6,
-        params={"k_terms": (4,)},
+        params={"qubits": 2, "grid": (0.5, 5.0), "instances": 5, "k_terms": (4,)},
     )
     rows = run_preset(cfg)
     assert _rows_by_quantity(rows, "flatness_K4")
     cfg2 = ExperimentConfig(
         preset="ising_sweep",
-        n_qubits=3,
-        grid=(0.5, 5.0),
-        instances=4,
         seed=7,
-        params={"disorder": (1.0,), "delta": 0.2},
+        params={"qubits": 3, "grid": (0.5, 5.0), "instances": 4, "disorder": (1.0,), "delta": 0.2},
     )
     rows2 = run_preset(cfg2)
     assert _rows_by_quantity(rows2, "flatness_W1.0")
@@ -348,10 +371,8 @@ def test_random_pauli_and_ising_sweeps_run():
 def test_random_circuit_depth_magic_grows():
     cfg = ExperimentConfig(
         preset="random_circuit_depth",
-        n_qubits=2,
-        grid=(1, 6),
-        instances=20,
         seed=8,
+        params={"qubits": 2, "grid": (1, 6), "instances": 20},
     )
     rows = run_preset(cfg)
     m2 = _rows_by_quantity(rows, "M2_choi")
@@ -361,8 +382,7 @@ def test_random_circuit_depth_magic_grows():
 def test_monotone_relation_sweep():
     cfg = ExperimentConfig(
         preset="monotone_relation_sweep",
-        grid=(0.2, 0.6, 1.0),
-        params={"qubit_counts": (1, 2)},
+        params={"grid": (0.2, 0.6, 1.0), "qubit_counts": (1, 2)},
     )
     rows = run_preset(cfg)
     m2 = _rows_by_quantity(rows, "M2_N2")
@@ -401,12 +421,11 @@ def test_monotone_collapse_matched_theta():
 def test_noise_mitigation_preset_reduced():
     cfg = ExperimentConfig(
         preset="noise_mitigation_study",
-        n_qubits=3,
-        grid=(1e-3, 5e-3),
-        instances=3,
-        moment_indices=(2,),
         seed=9,
-        params={"models": ("dephasing",), "depth": 6},
+        params={
+            "qubits": 3, "grid": (1e-3, 5e-3), "instances": 3, "n": 2, "models": ("dephasing",),
+            "depth": 6,
+        },
     )
     rows = run_preset(cfg)
     ratios = [r for r in rows if r.quantity.startswith("ratio_median_dephasing")]
@@ -417,13 +436,11 @@ def test_noise_mitigation_preset_reduced():
 def test_preset_determinism_and_serialization():
     cfg = ExperimentConfig(
         preset="doped_clifford_sweep",
-        n_qubits=2,
-        grid=(0, 1),
-        instances=2,
-        shots=32,
-        moment_indices=(3,),
         seed=11,
-        params={"clifford_depth": 3, "haar_samples": 20},
+        params={
+            "qubits": 2, "grid": (0, 1), "instances": 2, "shots": 32, "n": (3,),
+            "clifford_depth": 3, "haar_samples": 20,
+        },
     )
     rows_a = run_preset(cfg)
     rows_b = run_preset(cfg)
@@ -435,7 +452,9 @@ def test_preset_determinism_and_serialization():
 
 def test_thread_count_does_not_change_results():
     base = dict(
-        preset="gue_time_sweep", n_qubits=2, grid=(0.5, 2.0), instances=6, seed=12
+        preset="gue_time_sweep",
+        seed=12,
+        params={"qubits": 2, "grid": (0.5, 2.0), "instances": 6},
     )
     rows_serial = run_preset(ExperimentConfig(**base, threads=1))
     rows_parallel = run_preset(ExperimentConfig(**base, threads=4))

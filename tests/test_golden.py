@@ -19,41 +19,36 @@ from magic_meter.experiments import PRESETS, ExperimentConfig, rows_to_csv, run_
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
 GOLDEN_CONFIGS = {
-    "doped_clifford_n3": dict(
-        preset="doped_clifford_sweep", n_qubits=3, grid=(0, 1, 3), instances=3, shots=200,
-        moment_indices=(2, 3), seed=1, params={"haar_samples": 20},
-    ),
-    "doped_clifford_n4": dict(
-        preset="doped_clifford_sweep", n_qubits=4, grid=(0, 2), instances=2, shots=100,
-        moment_indices=(2, 3), seed=2, params={"clifford_depth": 8, "haar_samples": 10},
-    ),
-    "scrambling_depth": dict(
-        preset="scrambling_depth_sweep", n_qubits=3, grid=(1, 2, 5), instances=3, seed=3,
-        params={"tgates": (0, 4)},
-    ),
-    "gue_time": dict(
-        preset="gue_time_sweep", n_qubits=2, grid=(0.1, 1.0, 10.0), instances=4, seed=4,
-    ),
-    "random_pauli": dict(
-        preset="random_pauli_sweep", n_qubits=3, grid=(0.5, 5.0), instances=3, seed=5,
-        params={"k_terms": (4, 16)},
-    ),
-    "ising": dict(
-        preset="ising_sweep", n_qubits=3, grid=(0.5, 5.0), instances=3, seed=6,
-        params={"disorder": (0.5, 5.0), "delta": 0.2},
-    ),
-    "random_circuit_depth": dict(
-        preset="random_circuit_depth", n_qubits=2, grid=(1, 3, 6), instances=4, seed=7,
-    ),
-    "monotone_relation": dict(
-        preset="monotone_relation_sweep", grid=(0.2, 0.6, 1.0), params={"qubit_counts": (1, 2, 3)},
-    ),
+    "doped_clifford_n3": dict(preset="doped_clifford_sweep", seed=1, params={
+        "qubits": 3, "grid": (0, 1, 3), "instances": 3, "shots": 200, "n": (2, 3), "haar_samples": 20,
+    }),
+    "doped_clifford_n4": dict(preset="doped_clifford_sweep", seed=2, params={
+        "qubits": 4, "grid": (0, 2), "instances": 2, "shots": 100, "n": (2, 3),
+        "clifford_depth": 8, "haar_samples": 10,
+    }),
+    "scrambling_depth": dict(preset="scrambling_depth_sweep", seed=3, params={
+        "qubits": 3, "grid": (1, 2, 5), "instances": 3, "tgates": (0, 4),
+    }),
+    "gue_time": dict(preset="gue_time_sweep", seed=4, params={
+        "qubits": 2, "grid": (0.1, 1.0, 10.0), "instances": 4,
+    }),
+    "random_pauli": dict(preset="random_pauli_sweep", seed=5, params={
+        "qubits": 3, "grid": (0.5, 5.0), "instances": 3, "k_terms": (4, 16),
+    }),
+    "ising": dict(preset="ising_sweep", seed=6, params={
+        "qubits": 3, "grid": (0.5, 5.0), "instances": 3, "disorder": (0.5, 5.0), "delta": 0.2,
+    }),
+    "random_circuit_depth": dict(preset="random_circuit_depth", seed=7, params={
+        "qubits": 2, "grid": (1, 3, 6), "instances": 4,
+    }),
+    "monotone_relation": dict(preset="monotone_relation_sweep", params={
+        "grid": (0.2, 0.6, 1.0), "qubit_counts": (1, 2, 3),
+    }),
     # p = 0 leaves no mitigation error to compare, so its ratio rows are absent
-    "noise_mitigation": dict(
-        preset="noise_mitigation_study", n_qubits=3, grid=(0.0, 1e-3, 5e-3), instances=2,
-        moment_indices=(2,), seed=9,
-        params={"models": ("dephasing", "amplitude_damping", "local_depolarizing"), "depth": 4},
-    ),
+    "noise_mitigation": dict(preset="noise_mitigation_study", seed=9, params={
+        "qubits": 3, "grid": (0.0, 1e-3, 5e-3), "instances": 2, "n": 2,
+        "models": ("dephasing", "amplitude_damping", "local_depolarizing"), "depth": 4,
+    }),
 }
 
 

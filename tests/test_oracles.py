@@ -395,6 +395,25 @@ def test_pauli_moment_refuses_an_unnormalized_state():
         renyi_stabilizer_entropy([2, 0], 2)
 
 
+def test_pauli_moment_refuses_a_non_hermitian_or_non_positive_matrix():
+    # unchecked, the first failed late on an imaginary residue and the second
+    # gave the moment 8.5, above its bound of 1
+    with pytest.raises(ValueError, match="Hermitian"):
+        pauli_moment(np.array([[0.5, 0.3], [0.1, 0.5]]), 2)
+    with pytest.raises(ValueError, match="not positive"):
+        pauli_moment(np.array([[1.5, 0.0], [0.0, -0.5]]), 2)
+
+
+@pytest.mark.parametrize(
+    "state, defect", [([2, 0], "norm 2"), ([np.nan, 0], "non-finite")], ids=["unnormalized", "nan"]
+)
+@pytest.mark.parametrize("oracle", [stabilizer_fidelity, d_min])
+def test_stabilizer_fidelity_refuses_an_invalid_state(oracle, state, defect):
+    # unchecked, [2, 0] gave F_STAB = 4.0 and D_min = -1.386
+    with pytest.raises(ValueError, match=defect):
+        oracle(np.array(state))
+
+
 def test_flatness_refuses_an_unnormalized_state():
     # unchecked, I_3 - I_2^2 would be 4^3 - (4^2)^2 = -192
     with pytest.raises(ValueError, match="norm 2"):

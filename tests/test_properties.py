@@ -1,18 +1,23 @@
-"""Property tests of the Bell distributions.
+"""Property tests of the Bell distributions and the Pauli-spectrum moments.
 
 The mixed-state Bell distribution is the symplectic Fourier transform of the
 product of two Pauli spectra.  Its reference below is the literal mixture:
 the pure-state Bell circuit run on every pair of eigenvectors, weighted by
-the product of their eigenvalues.
+the product of their eigenvalues.  The moments A_n are checked against the
+paper's invariants: Clifford invariance, the bounds 2^-N <= A_n <= 1, and
+the global-depolarizing map that mitigate_moment inverts.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magic_meter.circuits import apply_circuit, random_clifford_circuit
 from magic_meter.estimators import bell_distribution
+from magic_meter.noise import NoiseKind, NoiseModel, apply_channel, mitigate_moment
+from magic_meter.oracles import pauli_moment
 from magic_meter.paulis import all_expectations
-from magic_meter.states import haar_random_state, random_density_matrix
+from magic_meter.states import density_of, haar_random_state, random_density_matrix
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
 
@@ -91,3 +96,33 @@ def test_mixed_bell_distribution_runs_up_to_the_density_guard(n):
     dist = bell_distribution(random_density_matrix(n, rng), random_density_matrix(n, rng, rank=2))
     assert np.all(dist >= 0.0)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+moments = st.integers(min_value=1, max_value=4)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(n=qubits, seed=seeds, depth=st.integers(min_value=1, max_value=4), index=moments)
+def test_moment_is_clifford_invariant(n, seed, depth, index):
+    rng = np.random.default_rng(seed)
+    psi = haar_random_state(n, rng)
+    moved = apply_circuit(random_clifford_circuit(n, depth, rng), psi)
+    assert pauli_moment(moved, index) == pytest.approx(pauli_moment(psi, index), rel=1e-10)
+
+
+@PROPERTY
+@given(n=qubits, seed=seeds, mixed=st.booleans(), rank_draw=seeds, index=moments)
+def test_moment_lies_between_two_to_the_minus_n_and_one(n, seed, mixed, rank_draw, index):
+    # the identity string alone gives 2^-N; |<sigma>|^{2n} <= <sigma>^2 gives 1
+    state = _density(n, seed, rank_draw) if mixed else haar_random_state(n, np.random.default_rng(seed))
+    assert 2.0**-n - 1e-12 <= pauli_moment(state, index) <= 1.0 + 1e-12
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(n=qubits, seed=seeds, index=moments, p=st.floats(min_value=0.0, max_value=0.5))
+def test_mitigate_moment_inverts_global_depolarizing(n, seed, index, p):
+    psi = haar_random_state(n, np.random.default_rng(seed))
+    rho = apply_channel(density_of(psi), NoiseModel(NoiseKind.GLOBAL_DEPOLARIZING, p))
+    assert mitigate_moment(pauli_moment(rho, index), p, index, n) == pytest.approx(
+        pauli_moment(psi, index), abs=1e-9
+    )
