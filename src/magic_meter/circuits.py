@@ -245,38 +245,40 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 # -- circuit families ---------------------------------------------------------
 
-def _cnot_chain(n_qubits: int) -> list[Gate]:
-    """The entangling chain on bonds (1,2), ..., (N-1,N), control on the
-    higher-numbered qubit.  This direction keeps X on qubit 1 invariant under
-    the chain and propagates operators one bond per layer, giving layered
-    circuits a light cone from qubit N toward qubit 1.
-    """
-    return [gate_cnot(q + 1, q) for q in range(1, n_qubits)]
+def _layered_gate_layers(n_qubits: int, depth: int, draw, t_counts=()) -> list[list[Gate]]:
+    """``depth`` layers: on each qubit q in order the gates ``draw(q)``, then
+    as many T gates as the next entry of ``t_counts`` (one per (layer, qubit)
+    slot; none if left out), then the CNOT chain on bonds (1,2), ...,
+    (N-1,N), control on the higher-numbered qubit.  This direction keeps X on
+    qubit 1 invariant under the chain and propagates operators one bond per
+    layer, giving layered circuits a light cone from qubit N toward qubit 1."""
+    chain = [gate_cnot(q + 1, q) for q in range(1, n_qubits)]
+    t_gates = [gate_t(q) for q in range(1, n_qubits + 1)]
+    counts = iter(t_counts or [0] * (depth * n_qubits))
+    return [
+        [g for q in range(1, n_qubits + 1) for g in draw(q) + [t_gates[q - 1]] * next(counts)] + chain
+        for _ in range(depth)
+    ]
+
+
+def _flatten(n_qubits: int, layers: list[list[Gate]]) -> Circuit:
+    return Circuit(n_qubits, tuple(g for layer in layers for g in layer))
 
 
 def random_clifford_circuit(n_qubits: int, depth: int, rng) -> Circuit:
     """d layers of uniform single-qubit Cliffords followed by the CNOT chain
     (1,2), (2,3), ..., (N-1, N)."""
-    rng = np.random.default_rng(rng)
-    gates: list[Gate] = []
-    for _ in range(depth):
-        gates += [gate_clifford(q, int(rng.integers(24))) for q in range(1, n_qubits + 1)]
-        gates += _cnot_chain(n_qubits)
-    return Circuit(n_qubits, tuple(gates))
-
-
-def clifford_proxy_depth(n_qubits: int) -> int:
-    """Default layer count standing in for a uniform random Clifford unitary."""
-    return 10 * n_qubits
+    return doped_layered_circuit(n_qubits, depth, 0, rng)
 
 
 def doped_clifford_state(
     n_qubits: int, n_tgates: int, rng, clifford_depth: int | None = None
 ) -> np.ndarray:
     """Random Clifford blocks interleaved with T gates on random qubits,
-    applied to |0...0>."""
+    applied to |0...0>; a block of ``clifford_depth`` layers, by default 10
+    per qubit, stands in for a uniform random Clifford unitary."""
     rng = np.random.default_rng(rng)
-    depth = clifford_proxy_depth(n_qubits) if clifford_depth is None else clifford_depth
+    depth = 10 * n_qubits if clifford_depth is None else clifford_depth
     psi = zero_state(n_qubits)
     for _ in range(n_tgates):
         psi = apply_circuit(random_clifford_circuit(n_qubits, depth, rng), psi)
@@ -287,49 +289,36 @@ def doped_clifford_state(
 def doped_layered_gate_layers(n_qubits: int, depth: int, n_tgates: int, rng) -> list[list[Gate]]:
     """Layer-wise gate lists of the fixed-depth doped Clifford circuit: each
     layer is single-qubit Cliffords plus the CNOT chain, with T gates inserted
-    at uniformly random (layer, qubit) slots."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    at uniformly random (layer, qubit) slots; depth 0 takes no T gates."""
+    if depth < 0 or (depth == 0 and n_tgates):
+        raise ValueError(f"depth must be at least 1 with T gates and at least 0 without, got {depth}")
     rng = np.random.default_rng(rng)
     slots = rng.integers(0, depth * n_qubits, size=n_tgates)
-    layers: list[list[Gate]] = []
-    for layer in range(depth):
-        gates: list[Gate] = []
-        for q in range(1, n_qubits + 1):
-            gates.append(gate_clifford(q, int(rng.integers(24))))
-            gates += [gate_t(q) for s in slots if s == layer * n_qubits + (q - 1)]
-        gates += _cnot_chain(n_qubits)
-        layers.append(gates)
-    return layers
+    t_counts = np.bincount(slots, minlength=depth * n_qubits).tolist()
+    return _layered_gate_layers(n_qubits, depth, lambda q: [gate_clifford(q, int(rng.integers(24)))], t_counts)
 
 
 def doped_layered_circuit(n_qubits: int, depth: int, n_tgates: int, rng) -> Circuit:
     """Fixed-depth layered Clifford circuit with T gates inserted at uniformly
     random (layer, qubit) slots."""
-    layers = doped_layered_gate_layers(n_qubits, depth, n_tgates, rng)
-    return Circuit(n_qubits, tuple(g for layer in layers for g in layer))
+    return _flatten(n_qubits, doped_layered_gate_layers(n_qubits, depth, n_tgates, rng))
 
 
 def random_rotation_gate_layers(n_qubits: int, depth: int, rng) -> list[list[Gate]]:
     """Layer-wise gates of d layers of Haar-random single-qubit rotations
     (z-y-z Euler angles) plus the nearest-neighbor CNOT chain."""
     rng = np.random.default_rng(rng)
-    layers: list[list[Gate]] = []
-    for _ in range(depth):
-        gates: list[Gate] = []
-        for q in range(1, n_qubits + 1):
-            a, c = rng.uniform(0, 2 * np.pi, size=2)
-            b = 2.0 * np.arccos(np.sqrt(rng.uniform()))
-            gates += [gate_rz(q, a), gate_ry(q, b), gate_rz(q, c)]
-        gates += _cnot_chain(n_qubits)
-        layers.append(gates)
-    return layers
+    def euler(q: int) -> list[Gate]:
+        a, c = rng.uniform(0, 2 * np.pi, size=2)
+        b = 2.0 * np.arccos(np.sqrt(rng.uniform()))
+        return [gate_rz(q, a), gate_ry(q, b), gate_rz(q, c)]
+
+    return _layered_gate_layers(n_qubits, depth, euler)
 
 
 def random_rotation_circuit(n_qubits: int, depth: int, rng) -> Circuit:
     """d layers of Haar-random single-qubit rotations plus the CNOT chain."""
-    layers = random_rotation_gate_layers(n_qubits, depth, rng)
-    return Circuit(n_qubits, tuple(g for layer in layers for g in layer))
+    return _flatten(n_qubits, random_rotation_gate_layers(n_qubits, depth, rng))
 
 
 # -- serialization ------------------------------------------------------------

@@ -23,6 +23,7 @@ rows, mean and ddof=1 std over instances with NaN entries skipped.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -286,7 +287,7 @@ def _preset_doped_clifford(config: ExperimentConfig) -> list[RecordRow]:
         values = []
         for si, n_t in enumerate(grid):
             rng = _instance_rng(config.seed, si, i)
-            psi = doped_clifford_state(nq, int(n_t), rng, clifford_depth=depth)
+            psi = doped_clifford_state(nq, n_t, rng, clifford_depth=depth)
             point = [v for n in ns for v in _doped_point(psi, n, shots, rng)]
             if nq <= 3:
                 point.append(stabilizer_fidelity(psi))
@@ -315,15 +316,8 @@ def _prefix_unitaries(layers: list, n_qubits: int) -> list[np.ndarray]:
     return out
 
 
-def _depths(grid) -> tuple[int, ...]:
-    """The grid as circuit depths; each indexes the prefix list as d - 1."""
-    if not all(isinstance(d, numbers.Real) and float(d).is_integer() and d >= 1 for d in grid):
-        raise ConfigError(f"grid depths must be integers of at least 1, got {list(grid)!r}")
-    return tuple(int(d) for d in grid)
-
-
 def _preset_scrambling_depth(config: ExperimentConfig) -> list[RecordRow]:
-    nq, depths = config.params["qubits"], _depths(config.params["grid"])
+    nq, depths = config.params["qubits"], config.params["grid"]
     depth_max = max(depths)
     tgate_counts = config.params["tgates"]
     x1, zn = _edge_paulis(nq)
@@ -405,7 +399,7 @@ def _preset_ising(config: ExperimentConfig) -> list[RecordRow]:
 
 
 def _preset_random_circuit_depth(config: ExperimentConfig) -> list[RecordRow]:
-    nq, depths = config.params["qubits"], _depths(config.params["grid"])
+    nq, depths = config.params["qubits"], config.params["grid"]
     depth_max = max(depths)
     x1, zn = _edge_paulis(nq)
     psi0 = zero_state(nq)
@@ -527,17 +521,35 @@ PRESETS = tuple(_PRESETS)
 
 # the least value of each integer key and of each entry of an integer tuple
 _LEAST = {
-    "seed": 0, "threads": 0, "qubits": 1, "instances": 1, "shots": 1, "n": 1, "depth": 1,
+    "seed": 0, "threads": 0, "qubits": 1, "instances": 1, "shots": 1, "n": 2, "depth": 1,
     "clifford_depth": 0, "haar_samples": 2, "tgates": 0, "k_terms": 1, "qubit_counts": 1,
 }
+
+
+def _finite_real(value) -> bool:
+    """A real number, not a bool, that a float holds finitely."""
+    try:
+        return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _depths(grid, least: int) -> tuple[int, ...]:
+    """The grid as integers of at least ``least``: T-gate counts, or circuit
+    depths, each indexing a prefix list as d - 1."""
+    if not all(float(d).is_integer() and d >= least for d in grid):
+        raise ConfigError(f"grid must be integers of at least {least}, got {list(grid)!r}")
+    return tuple(int(d) for d in grid)
 
 
 def _resolve(config: ExperimentConfig) -> ExperimentConfig:
     """A copy of the config with the seed set and the preset's defaults filled
     in for keys left out.  Raises ConfigError, naming the key, for a key the
     preset does not read, a null key whose default is not null, a list for a
-    one-value key, an empty list, or an integer key that is no integer or is
-    below its least value."""
+    one-value key, an empty list, an entry of a real-valued key that is no
+    finite real number, or an integer key that is no integer or is below its
+    least value.  A grid whose default holds integers (T-gate counts or
+    depths) takes integers of at least its default's least entry."""
     if config.preset not in _PRESETS:
         raise ConfigError(f"unknown preset {config.preset!r}; known: {', '.join(PRESETS)}")
     keys = _PRESETS[config.preset][1]
@@ -556,6 +568,13 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
                 raise ConfigError(f"{key} must not be empty")
         elif isinstance(params[key], _SEQUENCES):
             raise ConfigError(f"{key} takes one value, got {params[key]!r}")
+        defaults = _as_tuple(default)
+        if key not in _LEAST and isinstance(defaults[0], numbers.Real):
+            for entry in _as_tuple(params[key]):
+                if not _finite_real(entry):
+                    raise ConfigError(f"{key} must be a finite real number, got {entry!r}")
+            if all(isinstance(d, numbers.Integral) for d in defaults):
+                params[key] = _depths(params[key], min(defaults))
     resolved = replace(config, seed=0 if config.seed is None else config.seed, params=params)
     # a null that reaches here is a key whose default is null
     for key, value in {"seed": resolved.seed, "threads": resolved.threads, **params}.items():

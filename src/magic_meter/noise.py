@@ -97,20 +97,20 @@ def apply_channel(rho: np.ndarray, model: NoiseModel, qubits=None) -> np.ndarray
 
 
 def _apply_gate_density(gate: Gate, rho: np.ndarray, n: int) -> np.ndarray:
-    """rho -> U rho U^dag via two columnwise gate applications."""
+    """rho -> U rho U^dag via two columnwise gate applications, each result
+    conjugated in place (apply_gate returns a fresh array)."""
     left = apply_gate(gate, rho, n)
-    return apply_gate(gate, left.conj().T, n).conj().T
+    out = apply_gate(gate, np.conjugate(left, out=left).T, n)
+    return np.conjugate(out, out=out).T
 
 
-def noisy_circuit_state(circuit: Circuit, model: NoiseModel, rho=None) -> np.ndarray:
-    """Density matrix after the circuit with the channel applied after each
-    gate on the qubits the gate touched."""
+def noisy_circuit_state(circuit: Circuit, model: NoiseModel) -> np.ndarray:
+    """Density matrix after the circuit, run on |0...0>, with the channel
+    applied after each gate on the qubits the gate touched."""
     n = circuit.n_qubits
     check_capacity(n, DENSITY_QUBIT_GUARD, "qubits in density-matrix simulation")
-    if rho is None:
-        psi = zero_state(n)
-        rho = np.outer(psi, psi.conj())
-    rho = np.asarray(rho, dtype=complex)
+    psi = zero_state(n)
+    rho = np.outer(psi, psi.conj())
     for gate in circuit.gates:
         rho = _apply_gate_density(gate, rho, n)
         if model.p > 0:

@@ -156,9 +156,12 @@ def enumerate_stabilizer_states(n_qubits: int) -> np.ndarray:
 
 
 def stabilizer_fidelity(state: np.ndarray) -> float:
-    """max_phi |<psi|phi>|^2 over all pure stabilizer states (N <= 3)."""
+    """max_phi |<psi|phi>|^2 over all pure stabilizer states (N <= 3) of a
+    statevector; a density matrix is refused."""
     state = np.asarray(state, dtype=complex)
     validate_state(state)
+    if state.ndim != 1:
+        raise ValueError(f"stabilizer fidelity takes a statevector, got shape {state.shape}")
     table = enumerate_stabilizer_states(n_qubits_of(state))
     return float(np.max(np.abs(table.conj() @ state) ** 2))
 

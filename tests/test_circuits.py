@@ -19,6 +19,7 @@ from magic_meter.circuits import (
     circuit_unitary,
     doped_clifford_state,
     doped_layered_circuit,
+    doped_layered_gate_layers,
     gate_cnot,
     gate_h,
     gate_rotation,
@@ -27,6 +28,7 @@ from magic_meter.circuits import (
     load_circuit,
     random_clifford_circuit,
     random_rotation_circuit,
+    random_rotation_gate_layers,
 )
 from magic_meter.cli import main
 from magic_meter.oracles import pauli_moment
@@ -113,6 +115,23 @@ def test_random_clifford_circuit_structure():
     circ = random_clifford_circuit(4, 3, rng)
     names = [g.name for g in circ.gates]
     assert names.count("C1") == 12 and names.count("CNOT") == 9
+
+
+@pytest.mark.parametrize("n, depth, seed", [(3, 5, 0), (4, 2, 7), (1, 3, 2), (5, 7, 11), (4, 0, 1)])
+def test_layered_families_share_one_layer_loop(n, depth, seed):
+    # an integer seed starts the same stream in each call
+    assert random_clifford_circuit(n, depth, seed) == doped_layered_circuit(n, depth, 0, seed)
+    layers = random_rotation_gate_layers(n, depth, seed)
+    assert random_rotation_circuit(n, depth, seed) == Circuit(n, tuple(g for layer in layers for g in layer))
+
+
+@pytest.mark.parametrize("depth, n_tgates", [(0, 1), (-1, 0), (-2, 3)])
+def test_doped_layers_refuse_a_depth_too_small_for_their_t_gates(depth, n_tgates):
+    with pytest.raises(ValueError, match="depth"):
+        doped_layered_gate_layers(3, depth, n_tgates, 0)
+    if n_tgates == 0:
+        with pytest.raises(ValueError, match="depth"):
+            random_clifford_circuit(3, depth, 0)
 
 
 def test_clifford_circuit_output_is_stabilizer():

@@ -120,6 +120,16 @@ _BAD_INTEGER_CONFIGS = {
                                        "qubit_counts": [1, 2.5]}), "qubit_counts"),
     "zero_qubit_counts": (json.dumps({"preset": "monotone_relation_sweep", "grid": [0.5],
                                       "qubit_counts": [0]}), "qubit_counts"),
+    "text_time_grid": ("preset = gue_time_sweep\ngrid = abc\n", "grid"),
+    "text_delta": ("preset = ising_sweep\ndelta = x\n", "delta"),
+    "text_disorder": ("preset = ising_sweep\ndisorder = y\n", "disorder"),
+    "nan_time_grid": ("preset = gue_time_sweep\ngrid = 0.5, nan\n", "grid"),
+    "bool_delta": (json.dumps({"preset": "ising_sweep", "delta": True}), "delta"),
+    "huge_time_grid": (json.dumps({"preset": "gue_time_sweep", "grid": [10**400]}), "grid"),
+    "float_tgate_grid": (json.dumps({**_SMALL_DOPED, "grid": [2.5]}), "grid"),
+    "negative_tgate_grid": (json.dumps({**_SMALL_DOPED, "grid": [-1]}), "grid"),
+    "first_moment_noise": (json.dumps({**_SMALL_NOISE, "n": 1}), "n"),
+    "first_moment_doped": (json.dumps({**_SMALL_DOPED, "n": [1]}), "n"),
 }
 
 

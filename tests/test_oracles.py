@@ -405,11 +405,14 @@ def test_pauli_moment_refuses_a_non_hermitian_or_non_positive_matrix():
 
 
 @pytest.mark.parametrize(
-    "state, defect", [([2, 0], "norm 2"), ([np.nan, 0], "non-finite")], ids=["unnormalized", "nan"]
+    "state, defect",
+    [([2, 0], "norm 2"), ([np.nan, 0], "non-finite"), (np.eye(2) / 2, r"shape \(2, 2\)")],
+    ids=["unnormalized", "nan", "mixed"],
 )
 @pytest.mark.parametrize("oracle", [stabilizer_fidelity, d_min])
 def test_stabilizer_fidelity_refuses_an_invalid_state(oracle, state, defect):
-    # unchecked, [2, 0] gave F_STAB = 4.0 and D_min = -1.386
+    # unchecked, [2, 0] gave F_STAB = 4.0 and D_min = -1.386, and the maximally
+    # mixed qubit gave 0.25 where max <phi|rho|phi> is 0.5
     with pytest.raises(ValueError, match=defect):
         oracle(np.array(state))
 
