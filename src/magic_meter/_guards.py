@@ -1,6 +1,10 @@
-"""Capacity guards: every size limit of the brute-force kernels and the one
-check that enforces them before anything large is allocated."""
+"""Argument guards: every size limit of the brute-force kernels and the one
+check that enforces them before anything large is allocated, the one integer
+check and the finite-real predicate."""
 from __future__ import annotations
+
+import math
+import numbers
 
 STATEVECTOR_QUBIT_GUARD = 12  # statevectors, pure-state Pauli spectra, 2 x N-qubit Bell registers
 DENSITY_QUBIT_GUARD = 8  # density matrices, their Pauli spectra and mixed Bell sampling
@@ -18,3 +22,18 @@ def check_capacity(value: int, limit: int, what: str) -> None:
     """Raise CapacityError naming ``what`` and ``limit`` when value > limit."""
     if value > limit:
         raise CapacityError(f"{what}: {value} requested, guarded to {limit}")
+
+
+def check_integer(value, name: str, least: int, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless value is an integer of at least
+    ``least``; a bool or an integral float such as 3.0 is no integer."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def finite_real(value) -> bool:
+    """A real number, not a bool, that a float holds finitely."""
+    try:
+        return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._guards import STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity
+from ._guards import STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity, check_integer
 from .paulis import PauliString, apply_pauli, pauli_from_string
 from .states import zero_state
 
@@ -251,7 +251,9 @@ def _layered_gate_layers(n_qubits: int, depth: int, draw, t_counts=()) -> list[l
     slot; none if left out), then the CNOT chain on bonds (1,2), ...,
     (N-1,N), control on the higher-numbered qubit.  This direction keeps X on
     qubit 1 invariant under the chain and propagates operators one bond per
-    layer, giving layered circuits a light cone from qubit N toward qubit 1."""
+    layer, giving layered circuits a light cone from qubit N toward qubit 1.
+    A negative depth is refused before any draw."""
+    check_integer(depth, "depth", 0)
     chain = [gate_cnot(q + 1, q) for q in range(1, n_qubits)]
     t_gates = [gate_t(q) for q in range(1, n_qubits + 1)]
     counts = iter(t_counts or [0] * (depth * n_qubits))
@@ -290,8 +292,7 @@ def doped_layered_gate_layers(n_qubits: int, depth: int, n_tgates: int, rng) -> 
     """Layer-wise gate lists of the fixed-depth doped Clifford circuit: each
     layer is single-qubit Cliffords plus the CNOT chain, with T gates inserted
     at uniformly random (layer, qubit) slots; depth 0 takes no T gates."""
-    if depth < 0 or (depth == 0 and n_tgates):
-        raise ValueError(f"depth must be at least 1 with T gates and at least 0 without, got {depth}")
+    check_integer(depth, "depth with T gates" if n_tgates else "depth", 1 if n_tgates else 0)  # before the T slots
     rng = np.random.default_rng(rng)
     slots = rng.integers(0, depth * n_qubits, size=n_tgates)
     t_counts = np.bincount(slots, minlength=depth * n_qubits).tolist()

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: exact, estimate, gradient, bounds, experiment, budget.
-Exit codes: 0 success, 2 parse error, 3 semantic/guard error, 4 I/O error.
+Exit codes: 0 success, 2 parse error (arguments or circuit file), 3 invalid
+input (a bad value, config, size guard or missing input file), 4 I/O error.
 The --seed option (default: MAGIC_METER_SEED env var, then 0) makes every
 command but `budget`, which draws nothing, bit-reproducible; for `experiment`
 the config's `seed` ranks between --seed and the env var.  Only exact, budget
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from ._guards import CapacityError
+from ._guards import check_integer
 from .circuits import CircuitParseError, apply_circuit, load_circuit
 from .estimators import (
     estimate_bell_magic,
@@ -49,10 +50,6 @@ EXIT_SEMANTIC = 3
 EXIT_IO = 4
 
 
-class SemanticError(ValueError):
-    pass
-
-
 def _default_seed() -> int:
     env = os.environ.get("MAGIC_METER_SEED")
     return int(env) if env else 0
@@ -62,7 +59,7 @@ def _load_circuit(path: str):
     try:
         return load_circuit(path)
     except FileNotFoundError as exc:
-        raise SemanticError(f"circuit file not found: {exc}") from exc
+        raise ValueError(f"circuit file not found: {exc}") from exc
 
 
 # --state name -> state from (qubit count, seed)
@@ -79,10 +76,9 @@ def _resolve_state(args) -> np.ndarray:
         return apply_circuit(_load_circuit(args.circuit))
     name = (args.state or "zero").lower()
     if name not in _STATES:
-        raise SemanticError(f"unknown named state {name!r} (use {', '.join(_STATES)})")
+        raise ValueError(f"unknown named state {name!r} (use {', '.join(_STATES)})")
     qubits = 1 if args.qubits is None else args.qubits
-    if qubits < 1:
-        raise SemanticError(f"--qubits must be at least 1, got {qubits}")
+    check_integer(qubits, "--qubits", 1)
     return _STATES[name](qubits, args.seed)
 
 
@@ -105,9 +101,9 @@ def _emit(text: str, output: str | None) -> None:
 def _otoc_values(args) -> dict:
     # the OTOC reads the circuit's unitary, not the state it prepares
     if not args.circuit:
-        raise SemanticError("the otoc measure needs --circuit")
+        raise ValueError("the otoc measure needs --circuit")
     if not (args.sigma and args.sigma_prime):
-        raise SemanticError("the otoc measure needs --sigma and --sigma-prime")
+        raise ValueError("the otoc measure needs --sigma and --sigma-prime")
     circuit = _load_circuit(args.circuit)
     sigma, sigma_prime = pauli_from_string(args.sigma), pauli_from_string(args.sigma_prime)
     return {"otoc": otoc(circuit, sigma, sigma_prime, args.n)}
@@ -170,7 +166,7 @@ def _cmd_experiment(args) -> int:
     try:
         config = load_config(args.config)
     except FileNotFoundError as exc:
-        raise SemanticError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
     if args.seed is not None:
         config.seed = args.seed
     elif config.seed is None:
@@ -315,7 +311,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except (SemanticError, CapacityError, ValueError) as exc:
+    except ValueError as exc:  # CapacityError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except OSError as exc:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -24,7 +23,7 @@ from ._bits import (
     symplectic_wht,
     xor_convolve,
 )
-from ._guards import STATEVECTOR_QUBIT_GUARD, check_capacity
+from ._guards import STATEVECTOR_QUBIT_GUARD, check_capacity, check_integer, finite_real
 from .circuits import Circuit, apply_circuit
 from .paulis import PauliString, all_expectations, expectation
 from .states import n_qubits_of, validate_state
@@ -132,11 +131,6 @@ def _parity_values(xors: np.ndarray, n: int, n_qubits: int) -> np.ndarray:
     return np.where(np.asarray(xors) == 0, float(2**n_qubits), 0.0)
 
 
-def _check_count(value, name: str, least: int = 1) -> None:
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 def _even_n_guard(n: int, allow_even: bool, what: str) -> None:
     if n % 2 == 0 and not allow_even:
         raise ValueError(
@@ -159,9 +153,8 @@ def estimate_moment_bell(
     Each repetition consumes n Bell samples of state x state and combines the
     per-qubit XOR parities of the 2N-bit outcomes.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError("moment index must be a positive integer")
-    _check_count(repetitions, "repetitions")
+    check_integer(n, "n", 1)
+    check_integer(repetitions, "repetitions", 1)
     _even_n_guard(n, allow_even, "the two-copy Bell estimator")
     rng = np.random.default_rng(rng)
     nq = n_qubits_of(state)
@@ -179,9 +172,8 @@ def estimate_moment_conjugate(
     strings from the spectrum, then multiplies 2n-2 single-copy eigenbasis
     measurement outcomes of the sampled string.  Unbiased for any integer
     n >= 2."""
-    if n < 2 or int(n) != n:
-        raise ValueError("the conjugate-sampling estimator needs integer n >= 2")
-    _check_count(repetitions, "repetitions")
+    check_integer(n, "n", 2)
+    check_integer(repetitions, "repetitions", 1)
     state = np.asarray(state, dtype=complex)
     if state.ndim != 1:
         raise ValueError("needs a pure state (the simulator builds psi*)")
@@ -236,9 +228,8 @@ def estimate_moment_gradient(
     (shifted state, unshifted state) and n-1 Bell samples of two unshifted
     copies, combined by the same parity rule; the gradient is
     n (B_+ - B_-)."""
-    if n < 1 or int(n) != n:
-        raise ValueError("moment index must be a positive integer")
-    _check_count(repetitions, "repetitions")
+    check_integer(n, "n", 1)
+    check_integer(repetitions, "repetitions", 1)
     _even_n_guard(n, allow_even, "the gradient estimator")
     base_dist, mixed_dists = _shift_rule_distributions(circuit, k)
     rng = np.random.default_rng(rng)
@@ -264,8 +255,7 @@ def expected_parity_value(dists: list[np.ndarray], n: int, n_qubits: int) -> flo
 def exact_moment_gradient(circuit: Circuit, k: int, n: int) -> float:
     """Infinite-shot shift-rule gradient of the n-th Pauli moment (any
     integer n >= 1); serves as the oracle for the sampled gradient."""
-    if n < 1 or int(n) != n:
-        raise ValueError("moment index must be a positive integer")
+    check_integer(n, "n", 1)
     base, mixed_dists = _shift_rule_distributions(circuit, k)
     sides = [expected_parity_value([mixed] + [base] * (n - 1), n, circuit.n_qubits) for mixed in mixed_dists]
     return float(n * (sides[0] - sides[1]))
@@ -278,8 +268,8 @@ def estimate_participation(
 ) -> EstimatorResult:
     """Participation entropy I_q from computational-basis samples: disjoint
     groups of q shots score 1 when all q bitstrings coincide."""
-    _check_count(q, "q", 2)
-    _check_count(shots, "shots", q)
+    check_integer(q, "q", 2)
+    check_integer(shots, "shots", q)
     rng = np.random.default_rng(rng)
     psi = np.asarray(state, dtype=complex)
     validate_state(psi)
@@ -310,7 +300,7 @@ def estimate_bell_magic(
     """Bell-magic estimator: each repetition draws two Bell-difference
     outcomes (two Bell samples each) and scores 2 when the corresponding Pauli
     strings anticommute."""
-    _check_count(repetitions, "repetitions")
+    check_integer(repetitions, "repetitions", 1)
     rng = np.random.default_rng(rng)
     nq = n_qubits_of(state)
     dist = bell_distribution(state, state)
@@ -328,18 +318,27 @@ def hoeffding_budget(epsilon: float, delta: float, delta_omega: float) -> int:
     """Repetition budget ceil((range^2 / 2 eps^2) ln(2/delta)) from Hoeffding's
     inequality."""
     if not (0 < epsilon < 1) or not (0 < delta < 1):
-        raise ValueError("epsilon and delta must lie in (0, 1)")
-    if delta_omega <= 0:
-        raise ValueError("the outcome range must be positive")
-    return int(math.ceil(delta_omega**2 / (2 * epsilon**2) * math.log(2 / delta)))
+        raise ValueError(f"epsilon and delta must lie in (0, 1), got epsilon={epsilon!r}, delta={delta!r}")
+    if not (finite_real(delta_omega) and delta_omega > 0):
+        raise ValueError(f"the outcome range delta_omega must be finite and positive, got {delta_omega!r}")
+    try:  # a range squared can overflow, an epsilon squared can underflow to 0
+        return int(math.ceil(delta_omega**2 / (2 * epsilon**2) * math.log(2 / delta)))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"the budget for epsilon={epsilon!r}, delta={delta!r}, delta_omega={delta_omega!r} is not finite"
+        ) from None
 
 
 def renyi_precision_budget(
     renyi_target: float, n: int, epsilon_m: float, delta: float = 0.05, delta_omega: float = 2.0
 ) -> tuple[float, int]:
     """Moment precision and repetition budget needed to pin the Renyi entropy
-    near the given value to within epsilon_m: eps = (n-1) e^{-M(n-1)} eps_M."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
+    near the given value to within epsilon_m: eps = (n-1) e^{-M(n-1)} eps_M.
+    M_n >= 0 because A_n <= 1."""
+    check_integer(n, "n", 2)
+    if not (finite_real(renyi_target) and renyi_target >= 0):
+        raise ValueError(f"renyi_target must be finite and at least 0, got {renyi_target!r}")
+    if not (finite_real(epsilon_m) and epsilon_m > 0):
+        raise ValueError(f"epsilon_m must be finite and positive, got {epsilon_m!r}")
     eps = (n - 1) * math.exp(-renyi_target * (n - 1)) * epsilon_m
     return eps, hoeffding_budget(eps, delta, delta_omega)

@@ -23,7 +23,6 @@ rows, mean and ddof=1 std over instances with NaN entries skipped.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from ._guards import check_integer, finite_real
 from .circuits import (
     Circuit,
     circuit_unitary,
@@ -305,38 +305,36 @@ def _preset_doped_clifford(config: ExperimentConfig) -> list[RecordRow]:
     return rows
 
 
-def _prefix_unitaries(layers: list, n_qubits: int) -> list[np.ndarray]:
-    """Cumulative unitaries after each layer."""
-    dim = 1 << n_qubits
-    u = np.eye(dim, dtype=complex)
-    out = []
-    for layer in layers:
-        u = circuit_unitary(Circuit(n_qubits, tuple(layer))) @ u
-        out.append(u)
-    return out
+def _depth_sweep(config: ExperimentConfig, stream, layers, point, names, tail_names) -> list[RecordRow]:
+    """Rows of a circuit-depth sweep.  ``layers(depth, rng)`` draws the gate
+    layers of instance i up to the deepest grid point from the stream
+    (seed, *stream, i); each grid depth d evaluates ``point(u, u|0>)`` on the
+    unitary u of the first d layers, and the tail is the Clifford-averaged
+    OTOC and flatness of the full circuit."""
+    nq, depths = config.params["qubits"], config.params["grid"]
+    psi0 = zero_state(nq)
+
+    def one(i):
+        u, prefixes = np.eye(1 << nq, dtype=complex), []
+        for layer in layers(max(depths), _instance_rng(config.seed, *stream, i)):
+            u = circuit_unitary(Circuit(nq, tuple(layer))) @ u
+            prefixes.append(u)
+        values = [point(prefix, prefix @ psi0) for prefix in (prefixes[d - 1] for d in depths)]
+        return values, [clifford_average_otoc(u, 2), clifford_average_flatness(u @ psi0)]
+
+    return _sweep_rows(config, one, names, tail_names)
 
 
 def _preset_scrambling_depth(config: ExperimentConfig) -> list[RecordRow]:
-    nq, depths = config.params["qubits"], config.params["grid"]
-    depth_max = max(depths)
-    tgate_counts = config.params["tgates"]
+    nq = config.params["qubits"]
     x1, zn = _edge_paulis(nq)
-    psi0 = zero_state(nq)
     rows: list[RecordRow] = []
-    for ti, n_t in enumerate(tgate_counts):
-        def one(i, n_t=n_t, ti=ti):
-            layers = doped_layered_gate_layers(nq, depth_max, n_t, _instance_rng(config.seed, ti, i))
-            prefixes = _prefix_unitaries(layers, nq)
-            values = [
-                [otoc(u, x1, x1, 2), otoc(u, x1, zn, 2), flatness(u @ psi0)]
-                for u in (prefixes[d - 1] for d in depths)
-            ]
-            u_final = prefixes[-1]
-            return values, [clifford_average_otoc(u_final, 2), clifford_average_flatness(u_final @ psi0)]
-
-        rows += _sweep_rows(
+    for ti, n_t in enumerate(config.params["tgates"]):
+        rows += _depth_sweep(
             config,
-            one,
+            (ti,),
+            lambda depth, rng, n_t=n_t: doped_layered_gate_layers(nq, depth, n_t, rng),
+            lambda u, psi: [otoc(u, x1, x1, 2), otoc(u, x1, zn, 2), flatness(psi)],
             [f"otoc8_x1x1_NT{n_t}", f"otoc8_x1zN_NT{n_t}", f"flatness_NT{n_t}"],
             [f"cliff_avg_otoc8_NT{n_t}", f"cliff_avg_flatness_NT{n_t}"],
         )
@@ -399,23 +397,15 @@ def _preset_ising(config: ExperimentConfig) -> list[RecordRow]:
 
 
 def _preset_random_circuit_depth(config: ExperimentConfig) -> list[RecordRow]:
-    nq, depths = config.params["qubits"], config.params["grid"]
-    depth_max = max(depths)
+    nq = config.params["qubits"]
     x1, zn = _edge_paulis(nq)
-    psi0 = zero_state(nq)
-
-    def one(i):
-        layers = random_rotation_gate_layers(nq, depth_max, _instance_rng(config.seed, i))
-        prefixes = _prefix_unitaries(layers, nq)
-        values = [
-            [renyi_stabilizer_entropy(choi_state(u), 2)] + _dynamic_quantities(u, u @ psi0, x1, zn)
-            for u in (prefixes[d - 1] for d in depths)
-        ]
-        u_final = prefixes[-1]
-        return values, [clifford_average_otoc(u_final, 2), clifford_average_flatness(u_final @ psi0)]
-
-    return _sweep_rows(
-        config, one, ("M2_choi",) + _DYNAMIC_QUANTITIES, ("cliff_avg_otoc8", "cliff_avg_flatness")
+    return _depth_sweep(
+        config,
+        (),
+        lambda depth, rng: random_rotation_gate_layers(nq, depth, rng),
+        lambda u, psi: [renyi_stabilizer_entropy(choi_state(u), 2)] + _dynamic_quantities(u, psi, x1, zn),
+        ("M2_choi",) + _DYNAMIC_QUANTITIES,
+        ("cliff_avg_otoc8", "cliff_avg_flatness"),
     )
 
 
@@ -526,14 +516,6 @@ _LEAST = {
 }
 
 
-def _finite_real(value) -> bool:
-    """A real number, not a bool, that a float holds finitely."""
-    try:
-        return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _depths(grid, least: int) -> tuple[int, ...]:
     """The grid as integers of at least ``least``: T-gate counts, or circuit
     depths, each indexing a prefix list as d - 1."""
@@ -571,7 +553,7 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
         defaults = _as_tuple(default)
         if key not in _LEAST and isinstance(defaults[0], numbers.Real):
             for entry in _as_tuple(params[key]):
-                if not _finite_real(entry):
+                if not finite_real(entry):
                     raise ConfigError(f"{key} must be a finite real number, got {entry!r}")
             if all(isinstance(d, numbers.Integral) for d in defaults):
                 params[key] = _depths(params[key], min(defaults))
@@ -581,8 +563,7 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
         if key not in _LEAST or (value is None and key in params):
             continue
         for entry in value if isinstance(keys.get(key), tuple) else (value,):
-            if isinstance(entry, bool) or not (isinstance(entry, numbers.Integral) and entry >= _LEAST[key]):
-                raise ConfigError(f"{key} must be an integer of at least {_LEAST[key]}, got {entry!r}")
+            check_integer(entry, key, _LEAST[key], ConfigError)
     return resolved
 
 

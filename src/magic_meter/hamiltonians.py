@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._guards import UNITARY_QUBIT_GUARD, check_capacity
+from ._guards import UNITARY_QUBIT_GUARD, check_capacity, check_integer
 from .paulis import (
     PauliString,
     apply_pauli,
@@ -60,8 +60,7 @@ def gue_hamiltonian(n_qubits: int, rng) -> np.ndarray:
 def random_pauli_hamiltonian(n_qubits: int, n_terms: int, rng) -> PauliSum:
     """K distinct nonidentity Pauli strings with Gaussian weights, rescaled to
     unit normalized trace of H^2 (tr(H^2) = 2^N), the GUE energy scale."""
-    if n_terms < 1:
-        raise ValueError("need at least one term")
+    check_integer(n_terms, "n_terms", 1)
     if n_terms > 4**n_qubits - 1:
         raise ValueError("more terms than nonidentity Pauli strings")
     rng = np.random.default_rng(rng)
@@ -139,8 +138,7 @@ def trotter_evolve(hamiltonian: PauliSum, t: float, steps: int, psi: np.ndarray)
     """First-order product formula over commuting groups of the Pauli sum."""
     if not isinstance(hamiltonian, PauliSum):
         raise ValueError("Trotterization needs a Pauli-sum Hamiltonian")
-    if steps < 1:
-        raise ValueError("need at least one step")
+    check_integer(steps, "steps", 1)
     dt = t / steps
     groups = commuting_groups(hamiltonian.terms)
     psi = np.asarray(psi, dtype=complex)

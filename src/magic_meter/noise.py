@@ -135,12 +135,9 @@ def mitigate_moment(moment_noisy: float, p: float, n: int, n_qubits: int) -> flo
 
 
 def mitigate_tsallis(tsallis_noisy: float, p: float, n: int, n_qubits: int) -> float:
-    """Mitigated Tsallis entropy via the same inversion."""
-    if not (0.0 <= p < 1.0):
-        raise ValueError("mitigation needs p in [0, 1)")
-    shrink = (1.0 - p) ** (2 * n)
-    correction = (1.0 - shrink) * (2.0**-n_qubits - 1.0) / (1.0 - n)
-    return float((tsallis_noisy - correction) / shrink)
+    """Mitigated Tsallis entropy: the moment inversion applied to the noisy
+    moment 1 + (1 - n) T_n."""
+    return float((mitigate_moment(1.0 + (1.0 - n) * tsallis_noisy, p, n, n_qubits) - 1.0) / (1 - n))
 
 
 def mitigate_renyi(moment_noisy: float, p: float, n: int, n_qubits: int) -> float | None:

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._bits import symplectic_wht, wht
 from ._guards import BELL_MAGIC_QUBIT_GUARD, GAMMA_COPY_GUARD, STABILIZER_ENUM_GUARD, check_capacity
+from ._guards import check_integer, finite_real
 from .circuits import Circuit, apply_gate, circuit_unitary, gate_cnot, gate_h, gate_s, orbit
 from .estimators import bell_distribution
 from .paulis import PauliString, all_expectations, apply_pauli, pauli_from_index
@@ -31,8 +32,8 @@ def pauli_moment(state: np.ndarray, n) -> float:
     """
     state = np.asarray(state)
     nq = n_qubits_of(state)
-    if n <= 0:
-        raise ValueError("moment index must be positive")
+    if not (finite_real(n) and n > 0):
+        raise ValueError(f"moment index n must be finite and positive, got {n!r}")
     values = all_expectations(state)
     if n == int(n):
         sq = np.multiply(values, values, out=values)
@@ -73,8 +74,7 @@ def von_neumann_stabilizer_entropy(state: np.ndarray) -> float:
 def moment_operator(n: int) -> np.ndarray:
     """The single-site 2n-copy observable (1/2) sum_k sigma_k^{tensor 2n}
     whose per-site expectation builds the n-th Pauli moment."""
-    if n < 1:
-        raise ValueError("moment index must be at least 1")
+    check_integer(n, "n", 1)
     check_capacity(n, GAMMA_COPY_GUARD, "moment index n of the dense moment operator")
     paulis = [np.eye(2, dtype=complex)] + [
         pauli_from_index(i, 1).to_matrix() for i in (1, 2, 3)
@@ -91,8 +91,8 @@ def moment_operator(n: int) -> np.ndarray:
 
 def participation_entropy(state: np.ndarray, q: float) -> float:
     """I_q = sum_k |<k|psi>|^{2q} of the computational-basis distribution."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    if not (finite_real(q) and q > 0):
+        raise ValueError(f"q must be finite and positive, got {q!r}")
     validate_state(state)
     probs = np.abs(np.asarray(state)) ** 2
     return float(np.sum(probs**q))
@@ -205,8 +205,7 @@ class BoundsReport:
 
 def bounds_from_moment(moment: float, n: int, clamp: bool = True) -> BoundsReport:
     """Bounds computed from a given (possibly measured) n-th moment."""
-    if n < 2 or int(n) != n:
-        raise ValueError("bounds need an integer moment index n >= 2")
+    check_integer(n, "n", 2)
     if clamp:
         moment = min(max(moment, 1e-300), 1.0)
     upper = moment ** (1.0 / (2 * n))

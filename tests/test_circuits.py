@@ -130,8 +130,9 @@ def test_doped_layers_refuse_a_depth_too_small_for_their_t_gates(depth, n_tgates
     with pytest.raises(ValueError, match="depth"):
         doped_layered_gate_layers(3, depth, n_tgates, 0)
     if n_tgates == 0:
-        with pytest.raises(ValueError, match="depth"):
-            random_clifford_circuit(3, depth, 0)
+        for family in (random_clifford_circuit, random_rotation_circuit, random_rotation_gate_layers):
+            with pytest.raises(ValueError, match="depth"):
+                family(3, depth, 0)
 
 
 def test_clifford_circuit_output_is_stabilizer():

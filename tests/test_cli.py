@@ -169,6 +169,27 @@ def test_budget_renyi_target(capsys):
     assert doc["epsilon"] == pytest.approx(0.005)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("budget", "--delta-omega", "inf"),
+        ("budget", "--delta-omega", "1e200"),
+        ("budget", "--delta-omega", "nan"),
+        ("budget", "--epsilon", "1e-300"),
+        ("budget", "--renyi-target", "-1000"),
+        ("budget", "--renyi-target", "nan"),
+        ("exact", "--state", "t", "--measure", "I_q", "--q", "nan"),
+    ],
+)
+def test_a_non_finite_or_out_of_range_real_option_exits_three_naming_it(argv):
+    # once the first, second, fourth and fifth ended in a traceback with exit
+    # code 1, the third and sixth named no option, and the last printed nan
+    proc = subprocess.run([sys.executable, "-m", "magic_meter.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert argv[-2][2:].replace("-", "_") in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_named_state(capsys):
     code, _, err = run_cli(capsys, "exact", "--state", "bogus", "--measure", "A_n")
     assert code == 3

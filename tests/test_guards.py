@@ -1,26 +1,41 @@
 """Every size guard raises CapacityError one step past its limit, before
-any large allocation.
+any large allocation, and every integer argument refuses a float, a bool and
+a value below its least.
 
 The arguments are built before allocations are traced; the guarded call may
 then allocate at most 1 MB, where most over-guard objects take from 2 MB (a
 9-qubit Pauli spectrum) to 1 GB (a 2 x 13-qubit Bell register)."""
 import tracemalloc
+from argparse import Namespace
 
 import numpy as np
 import pytest
 
 from magic_meter import CapacityError, _guards
-from magic_meter.circuits import Circuit, apply_circuit, circuit_unitary
-from magic_meter.estimators import bell_distribution
-from magic_meter.hamiltonians import Evolver, PauliSum
+from magic_meter.circuits import Circuit, apply_circuit, circuit_unitary, random_rotation_circuit
+from magic_meter.cli import _resolve_state
+from magic_meter.estimators import (
+    bell_distribution,
+    estimate_bell_magic,
+    estimate_moment_bell,
+    estimate_moment_conjugate,
+    estimate_moment_gradient,
+    estimate_participation,
+    exact_moment_gradient,
+    renyi_precision_budget,
+)
+from magic_meter.experiments import ExperimentConfig, _resolve
+from magic_meter.hamiltonians import Evolver, PauliSum, random_pauli_hamiltonian, trotter_evolve
 from magic_meter.noise import NoiseKind, NoiseModel, noisy_circuit_state
 from magic_meter.oracles import (
     bell_magic,
+    bounds_from_moment,
     enumerate_stabilizer_states,
     moment_operator,
     pauli_moment,
 )
 from magic_meter.paulis import PauliString, all_expectations
+from magic_meter.states import t_state, zero_state
 
 
 def _vector(n):
@@ -113,3 +128,49 @@ def test_guard_plus_one_raises_capacity_error_before_allocating(entry):
     assert word in str(raised.value)
     assert f"guarded to {guard}" in str(raised.value)
     assert peak < 1 << 20
+
+
+_ROTATIONS = random_rotation_circuit(2, 1, 0)
+_HAMILTONIAN = random_pauli_hamiltonian(2, 3, 0)
+
+# entry point -> (function of the integer argument, argument name, least value)
+_INTEGER_ARGUMENTS = {
+    "estimate_moment_bell-n": (lambda v: estimate_moment_bell(t_state(1), v, 10, 0), "n", 1),
+    "estimate_moment_gradient-n": (lambda v: estimate_moment_gradient(_ROTATIONS, 0, v, 10, 0), "n", 1),
+    "exact_moment_gradient-n": (lambda v: exact_moment_gradient(_ROTATIONS, 0, v), "n", 1),
+    "moment_operator-n": (moment_operator, "n", 1),
+    "estimate_moment_conjugate-n": (lambda v: estimate_moment_conjugate(t_state(1), v, 10, 0), "n", 2),
+    "renyi_precision_budget-n": (lambda v: renyi_precision_budget(0.1, v, 0.01), "n", 2),
+    "bounds_from_moment-n": (lambda v: bounds_from_moment(0.5, v), "n", 2),
+    "estimate_moment_bell-repetitions": (lambda v: estimate_moment_bell(t_state(1), 3, v, 0), "repetitions", 1),
+    "estimate_moment_conjugate-repetitions": (
+        lambda v: estimate_moment_conjugate(t_state(1), 2, v, 0), "repetitions", 1,
+    ),
+    "estimate_moment_gradient-repetitions": (
+        lambda v: estimate_moment_gradient(_ROTATIONS, 0, 3, v, 0), "repetitions", 1,
+    ),
+    "estimate_bell_magic-repetitions": (lambda v: estimate_bell_magic(t_state(1), v, 0), "repetitions", 1),
+    "estimate_participation-q": (lambda v: estimate_participation(t_state(1), v, 10, 0), "q", 2),
+    "estimate_participation-shots": (lambda v: estimate_participation(t_state(1), 2, v, 0), "shots", 2),
+    "random_pauli_hamiltonian-n_terms": (lambda v: random_pauli_hamiltonian(2, v, 0), "n_terms", 1),
+    "trotter_evolve-steps": (lambda v: trotter_evolve(_HAMILTONIAN, 1.0, v, zero_state(2)), "steps", 1),
+    "config-instances": (
+        lambda v: _resolve(ExperimentConfig("gue_time_sweep", params={"instances": v})), "instances", 1,
+    ),
+    "config-tgates": (
+        lambda v: _resolve(ExperimentConfig("scrambling_depth_sweep", params={"tgates": (0, v)})), "tgates", 0,
+    ),
+    "cli-qubits": (
+        lambda v: _resolve_state(Namespace(circuit=None, state="zero", qubits=v, seed=0)), "--qubits", 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "least - 1"])
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_floats_bools_and_values_below_their_least(entry, value):
+    # unchecked, most of these leaked a numpy TypeError or named no argument
+    function, name, least = _INTEGER_ARGUMENTS[entry]
+    value = least - 1 if value == "least - 1" else value
+    with pytest.raises(ValueError, match=f"{name} must be an integer of at least {least}, got {value!r}"):
+        function(value)

@@ -417,6 +417,15 @@ def test_stabilizer_fidelity_refuses_an_invalid_state(oracle, state, defect):
         oracle(np.array(state))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0, -1.5, True])
+@pytest.mark.parametrize("oracle, name", [(pauli_moment, "moment index n"), (participation_entropy, "q")])
+def test_real_indices_must_be_finite_and_positive(oracle, name, value):
+    # once pauli_moment raised OverflowError at inf and named no argument at
+    # nan, and participation_entropy returned nan at nan
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        oracle(t_state(), value)
+
+
 def test_flatness_refuses_an_unnormalized_state():
     # unchecked, I_3 - I_2^2 would be 4^3 - (4^2)^2 = -192
     with pytest.raises(ValueError, match="norm 2"):
