@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -198,11 +199,16 @@ def _apply_single(psi: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
     return out.reshape(block.shape).transpose(1, 0, 2).reshape(psi.shape)
 
 
-def _apply_cnot(psi: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    """CNOT as a row permutation: row k takes row k with the target bit
-    flipped where the control bit of k is set."""
+# room for every CNOT placement on one register up to the statevector guard
+@lru_cache(maxsize=STATEVECTOR_QUBIT_GUARD * (STATEVECTOR_QUBIT_GUARD - 1))
+def _cnot_rows(control: int, target: int, n: int) -> np.ndarray:
+    """CNOT as a row permutation, built once per (control, target, n) and
+    read-only: row k takes row k with the target bit flipped where the
+    control bit of k is set."""
     k = np.arange(1 << n)
-    return psi[k ^ (((k >> (n - control)) & 1) << (n - target))]
+    rows = k ^ (((k >> (n - control)) & 1) << (n - target))
+    rows.flags.writeable = False
+    return rows
 
 
 def apply_gate(gate: Gate, psi: np.ndarray, n: int) -> np.ndarray:
@@ -214,7 +220,7 @@ def apply_gate(gate: Gate, psi: np.ndarray, n: int) -> np.ndarray:
     if mat is not None:
         return _apply_single(psi, mat, gate.qubits[0])
     if gate.angle is None:
-        return _apply_cnot(psi, gate.qubits[0], gate.qubits[1], n)
+        return psi[_cnot_rows(*gate.qubits, n)]
     q = gate.qubits[0]
     axis = gate.axis or pauli_from_string("I" * (q - 1) + gate.name[-1] + "I" * (n - q))
     half = gate.angle / 2.0

@@ -192,6 +192,7 @@ def _cmd_budget(args) -> int:
         )
         values = {"epsilon": eps, "repetitions": shots, "copies": 2 * shots * args.n}
     else:
+        check_integer(args.n, "n", 1)
         shots = hoeffding_budget(args.epsilon, args.delta, args.delta_omega)
         values = {"repetitions": shots, "copies": 2 * shots * args.n}
     if args.format == "json":

@@ -341,4 +341,9 @@ def renyi_precision_budget(
     if not (finite_real(epsilon_m) and epsilon_m > 0):
         raise ValueError(f"epsilon_m must be finite and positive, got {epsilon_m!r}")
     eps = (n - 1) * math.exp(-renyi_target * (n - 1)) * epsilon_m
+    if not 0 < eps < 1:
+        raise ValueError(
+            f"renyi_target={renyi_target!r} and epsilon_m={epsilon_m!r} give a moment precision "
+            f"{eps!r} outside (0, 1)"
+        )
     return eps, hoeffding_budget(eps, delta, delta_omega)

@@ -116,6 +116,7 @@ def _as_unitary(u) -> np.ndarray:
 
 def otoc(u, sigma: PauliString, sigma_prime: PauliString, n: int) -> float:
     """4n-point out-of-time-order correlator (2^-N tr(sigma U sigma' U^dag))^{2n}."""
+    check_integer(n, "n", 1)
     mat = _as_unitary(u)
     nq = n_qubits_of(mat)
     if sigma.n_qubits != nq or sigma_prime.n_qubits != nq:

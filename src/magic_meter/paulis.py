@@ -8,6 +8,7 @@ i^{|z & x|} X^x Z^z, i.e. the Hermitian representative with sign +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,7 @@ class PauliString:
 
     ``z`` and ``x`` are bit masks with qubit j at bit (n_qubits - j); ``index``
     is the interleaved 2N-bit integer used to address length-4^N arrays.
+    ``action`` is computed on first use and kept with the string.
     """
 
     z: int
@@ -62,6 +64,15 @@ class PauliString:
         for j in range(self.n_qubits - 1, -1, -1):
             out.append(_PAIR_TO_CHAR[((self.z >> j) & 1, (self.x >> j) & 1)])
         return "".join(out)
+
+    @cached_property
+    def action(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (source, phase) with sigma psi = phase * psi[source]:
+        row j of sigma psi is phase(j ^ x) psi[j ^ x]."""
+        source = np.arange(1 << self.n_qubits) ^ self.x
+        phase = _phase(self, source)
+        source.flags.writeable = phase.flags.writeable = False
+        return source, phase
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^N x 2^N matrix (guarded like dense unitaries)."""
@@ -111,17 +122,10 @@ def pauli_from_string(text: str) -> PauliString:
 def apply_pauli(sigma: PauliString, psi: np.ndarray) -> np.ndarray:
     """Apply sigma to a statevector (or to each column of a matrix):
     sigma|k> = i^{|z&x|} (-1)^{z.k} |k ^ x>."""
-    dim = psi.shape[0]
-    if dim != 1 << sigma.n_qubits:
+    if psi.shape[0] != 1 << sigma.n_qubits:
         raise ValueError("dimension mismatch")
-    k = np.arange(dim)
-    out = np.empty_like(psi, dtype=complex)
-    phase = _phase(sigma, k)
-    if psi.ndim == 2:
-        out[k ^ sigma.x, :] = phase[:, None] * psi
-    else:
-        out[k ^ sigma.x] = phase * psi
-    return out
+    source, phase = sigma.action
+    return (phase[:, None] if psi.ndim == 2 else phase) * psi[source]
 
 
 def expectation(state: np.ndarray, sigma: PauliString) -> float:

@@ -190,6 +190,30 @@ def test_a_non_finite_or_out_of_range_real_option_exits_three_naming_it(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("exact", "--measure", "otoc", "--sigma", "XI", "--sigma-prime", "IZ", "--n", "0"), ["n must be"]),
+        (("exact", "--measure", "otoc", "--sigma", "XI", "--sigma-prime", "IZ", "--n", "-1"), ["n must be"]),
+        (("budget", "--n", "0"), ["n must be"]),
+        (("budget", "--n", "-3"), ["n must be"]),
+        (("budget", "--renyi-target", "0.1", "--epsilon-m", "5"), ["renyi_target=0.1", "epsilon_m=5.0"]),
+        (("budget", "--renyi-target", "1e6"), ["renyi_target=1000000.0", "epsilon_m=0.01"]),
+    ],
+)
+def test_a_bad_moment_index_or_derived_precision_exits_three_naming_its_inputs(argv, named, tmp_path):
+    # the otoc and --n cases once printed 1, inf, copies 0 and copies -17712
+    # with exit 0; the Renyi cases named only a derived epsilon
+    if argv[0] == "exact":
+        path = tmp_path / "bell.txt"
+        path.write_text("qubits 2\nH 1\nCNOT 1 2\n")
+        argv = (*argv, "--circuit", str(path))
+    proc = subprocess.run([sys.executable, "-m", "magic_meter.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert all(name in proc.stderr for name in named), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_named_state(capsys):
     code, _, err = run_cli(capsys, "exact", "--state", "bogus", "--measure", "A_n")
     assert code == 3

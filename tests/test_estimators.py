@@ -330,6 +330,10 @@ def test_renyi_precision_budget():
     eps2, _ = renyi_precision_budget(np.log(2), 2, 0.01)
     assert eps2 == pytest.approx(0.005)
     assert shots == hoeffding_budget(eps, 0.05, 2.0)
+    # a derived precision outside (0, 1) names the inputs it came from
+    for target, eps_m in [(0.1, 5.0), (1e6, 0.01)]:
+        with pytest.raises(ValueError, match=rf"renyi_target={target!r} and epsilon_m={eps_m!r} give"):
+            renyi_precision_budget(target, 2, eps_m)
 
 
 def test_estimator_result_json_roundtrip():

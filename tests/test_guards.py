@@ -32,6 +32,7 @@ from magic_meter.oracles import (
     bounds_from_moment,
     enumerate_stabilizer_states,
     moment_operator,
+    otoc,
     pauli_moment,
 )
 from magic_meter.paulis import PauliString, all_expectations
@@ -139,6 +140,7 @@ _INTEGER_ARGUMENTS = {
     "estimate_moment_gradient-n": (lambda v: estimate_moment_gradient(_ROTATIONS, 0, v, 10, 0), "n", 1),
     "exact_moment_gradient-n": (lambda v: exact_moment_gradient(_ROTATIONS, 0, v), "n", 1),
     "moment_operator-n": (moment_operator, "n", 1),
+    "otoc-n": (lambda v: otoc(np.eye(2), PauliString(0, 1, 1), PauliString(1, 0, 1), v), "n", 1),
     "estimate_moment_conjugate-n": (lambda v: estimate_moment_conjugate(t_state(1), v, 10, 0), "n", 2),
     "renyi_precision_budget-n": (lambda v: renyi_precision_budget(0.1, v, 0.01), "n", 2),
     "bounds_from_moment-n": (lambda v: bounds_from_moment(0.5, v), "n", 2),

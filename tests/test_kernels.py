@@ -7,8 +7,11 @@ Sylvester matrix.
 [2]*n tensor, contract the qubit's axis with `np.tensordot` and move it back
 with `np.moveaxis`; they are an independent check of the block products,
 including the last qubit, whose trailing block has size 1.  CNOT is a row
-permutation; the reference flips the target axis of the control-1 half of
-the same tensor, and the two agree bit for bit.
+permutation, built once per placement; the reference flips the target axis
+of the control-1 half of the same tensor, and the two agree bit for bit.
+`apply_pauli` gathers rows through the action a `PauliString` keeps; the
+reference scatters each phased row k into row k ^ x, the same products, so
+the two agree bit for bit as well.
 
 `wht` is a product of Hadamard factors of at most 32 rows; the butterfly
 and the dense matrix sum in other orders, so they agree to a tolerance of
@@ -20,6 +23,9 @@ scatters into it, with the same products, so the two agree bit for bit.  The
 pure-state Bell distribution is a product of 16 x 16 factors; the reference
 contracts the 4x4 Bell matrix into each pair axis with `np.tensordot`.
 """
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -28,6 +34,7 @@ from magic_meter._guards import DENSITY_QUBIT_GUARD
 from magic_meter.circuits import (
     SINGLE_QUBIT_CLIFFORDS,
     Circuit,
+    _cnot_rows,
     apply_gate,
     circuit_unitary,
     gate_clifford,
@@ -39,7 +46,14 @@ from magic_meter.circuits import (
 from magic_meter.estimators import bell_distribution
 from magic_meter.noise import NoiseKind, NoiseModel, _kraus_for, apply_channel
 from magic_meter.oracles import pauli_moment
-from magic_meter.paulis import _I_POWERS, _real_part, all_expectations
+from magic_meter.paulis import (
+    _I_POWERS,
+    _real_part,
+    all_expectations,
+    apply_pauli,
+    pauli_from_index,
+    pauli_from_string,
+)
 from magic_meter.states import haar_random_state, n_qubits_of, random_density_matrix
 
 RTOL, ATOL = 1e-14, 1e-15
@@ -122,8 +136,61 @@ def test_cnot_matches_flip_reference(n):
         for c in range(1, n + 1):
             for t in range(1, n + 1):
                 if c != t:
-                    got = apply_gate(gate_cnot(c, t), psi, n)
-                    np.testing.assert_array_equal(got, reference_cnot(psi, c, t, n))
+                    expected = reference_cnot(psi, c, t, n)
+                    first = apply_gate(gate_cnot(c, t), psi, n)
+                    np.testing.assert_array_equal(first, expected)
+                    first[...] = 0  # the second call reads the cached permutation
+                    np.testing.assert_array_equal(apply_gate(gate_cnot(c, t), psi, n), expected)
+                    assert _cnot_rows(c, t, n) is _cnot_rows(c, t, n)
+                    assert not _cnot_rows(c, t, n).flags.writeable
+
+
+def reference_apply_pauli(sigma, psi):
+    """sigma|k> = i^{|z&x|} (-1)^{z.k} |k ^ x>, scattered row by row into
+    row k ^ x, on a statevector or each column of a matrix."""
+    k = np.arange(psi.shape[0])
+    phase = (1j ** int(popcount(sigma.z & sigma.x))) * (-1.0) ** popcount(sigma.z & k)
+    out = np.empty_like(psi, dtype=complex)
+    out[k ^ sigma.x] = phase[:, None] * psi if psi.ndim == 2 else phase * psi
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_pauli_equals_the_scatter_reference_bit_for_bit(n):
+    rng = np.random.default_rng(700 + n)
+    dim = 1 << n
+    vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    matrix = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    for index in range(4**n):
+        sigma = pauli_from_index(index, n)
+        for psi in (vector, matrix, vector.real):
+            got = apply_pauli(sigma, psi)
+            assert got.shape == psi.shape
+            assert np.array_equal(got.view(float), reference_apply_pauli(sigma, psi).view(float))
+
+
+def test_the_cached_pauli_action_is_read_only_and_leaves_with_its_string():
+    sigma = pauli_from_string("YXZ")
+    source, phase = sigma.action
+    assert sigma.action[0] is source
+    for arr in (source, phase):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    gone = weakref.ref(phase)
+    del sigma, source, phase, arr
+    gc.collect()
+    assert gone() is None
+
+
+def test_writing_into_apply_paulis_result_leaves_the_next_call_unchanged():
+    sigma = pauli_from_string("XY")
+    psi = haar_random_state(2, np.random.default_rng(9))
+    expected = reference_apply_pauli(sigma, psi)
+    first = apply_pauli(sigma, psi)
+    assert not np.shares_memory(first, sigma.action[1])
+    first[...] = 7
+    np.testing.assert_array_equal(apply_pauli(sigma, psi), expected)
 
 
 LOCAL_KINDS = [NoiseKind.LOCAL_DEPOLARIZING, NoiseKind.DEPHASING, NoiseKind.AMPLITUDE_DAMPING]
