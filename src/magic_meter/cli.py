@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from ._guards import check_integer
+from ._guards import check_integer, finite_real
 from .circuits import CircuitParseError, apply_circuit, load_circuit
 from .estimators import (
     estimate_bell_magic,
@@ -190,11 +190,14 @@ def _cmd_budget(args) -> int:
             args.renyi_target, args.n, args.epsilon_m, delta=args.delta,
             delta_omega=args.delta_omega,
         )
-        values = {"epsilon": eps, "repetitions": shots, "copies": 2 * shots * args.n}
+        values = {"epsilon": eps, "repetitions": shots}
     else:
         check_integer(args.n, "n", 1)
         shots = hoeffding_budget(args.epsilon, args.delta, args.delta_omega)
-        values = {"repetitions": shots, "copies": 2 * shots * args.n}
+        values = {"repetitions": shots}
+    values["copies"] = 2 * shots * args.n
+    if not finite_real(values["copies"]):
+        raise ValueError(f"n={args.n!r} needs 2 * repetitions * n copies, more than a float holds")
     if args.format == "json":
         _emit(json.dumps(values), args.output)
     else:

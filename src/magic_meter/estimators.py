@@ -336,6 +336,8 @@ def renyi_precision_budget(
     near the given value to within epsilon_m: eps = (n-1) e^{-M(n-1)} eps_M.
     M_n >= 0 because A_n <= 1."""
     check_integer(n, "n", 2)
+    if not finite_real(n):
+        raise ValueError(f"n must be an integer that a float holds, got {n!r}")
     if not (finite_real(renyi_target) and renyi_target >= 0):
         raise ValueError(f"renyi_target must be finite and at least 0, got {renyi_target!r}")
     if not (finite_real(epsilon_m) and epsilon_m > 0):
@@ -343,7 +345,7 @@ def renyi_precision_budget(
     eps = (n - 1) * math.exp(-renyi_target * (n - 1)) * epsilon_m
     if not 0 < eps < 1:
         raise ValueError(
-            f"renyi_target={renyi_target!r} and epsilon_m={epsilon_m!r} give a moment precision "
+            f"n={n!r}, renyi_target={renyi_target!r} and epsilon_m={epsilon_m!r} give a moment precision "
             f"{eps!r} outside (0, 1)"
         )
     return eps, hoeffding_budget(eps, delta, delta_omega)

@@ -12,10 +12,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._guards import DENSITY_QUBIT_GUARD, check_capacity
+from ._guards import DENSITY_QUBIT_GUARD, check_capacity, check_integer, finite_real
 from .circuits import Circuit, Gate, apply_circuit, apply_gate
 from .oracles import pauli_moment
-from .states import n_qubits_of, purity, zero_state
+from .states import purity, zero_state
 
 
 class NoiseKind(str, Enum):
@@ -31,29 +31,28 @@ class NoiseModel:
     p: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError("noise strength must lie in [0, 1]")
+        if not (finite_real(self.p) and 0.0 <= self.p <= 1.0):
+            raise ValueError(f"noise strength p must be a real number in [0, 1], got {self.p!r}")
         object.__setattr__(self, "kind", NoiseKind(self.kind))
 
     @cached_property
-    def kraus(self) -> list[np.ndarray]:
-        """The single-qubit Kraus operators, built once per model."""
-        return _kraus_for(self)
+    def superoperator(self) -> np.ndarray:
+        """Read-only 4x4 S = sum_k K (x) conj(K) over the single-qubit Kraus
+        operators, built once per model: S[(r', c'), (r, c)] maps the
+        (row bit, column bit) pair of rho."""
+        s = sum(np.kron(k, k.conj()) for k in _kraus_for(self))
+        s.flags.writeable = False
+        return s
 
 
-def _apply_kraus_single(rho: np.ndarray, kraus: list[np.ndarray], qubit: int, n: int) -> np.ndarray:
-    """Apply a single-qubit Kraus channel on 1-based qubit of a density matrix.
-
-    With rho indexed (row_hi, row_bit, row_lo, col_hi, col_bit, col_lo), each
-    K rho K^dag is one product on the row-bit block, then one on the col-bit
-    block; the running sum stays in (col_bit, row_bit, ...) order."""
+def _apply_superoperator(rho: np.ndarray, s: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """Apply a single-qubit channel's superoperator on 1-based qubit of a
+    density matrix: rho viewed as (row_hi, row_bit, row_lo, col_hi, col_bit,
+    col_lo) with both bits brought to the front is one 4-row product."""
     a, b = 1 << (qubit - 1), 1 << (n - qubit)
-    rows = rho.reshape(a, 2, -1).transpose(1, 0, 2).reshape(2, -1)
-    out = np.zeros((2, 2, a, b, a, b), dtype=rho.dtype)
-    for k in kraus:
-        t = (k @ rows).reshape(2, a, b, a, 2, b).transpose(4, 0, 1, 2, 3, 5)
-        out += (k.conj() @ t.reshape(2, -1)).reshape(out.shape)
-    return out.transpose(2, 1, 3, 4, 0, 5).reshape(rho.shape)
+    pairs = rho.reshape(a, 2, b, a, 2, b).transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
+    out = (s @ pairs).reshape(2, 2, a, b, a, b)
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
 
 
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -84,15 +83,18 @@ def apply_channel(rho: np.ndarray, model: NoiseModel, qubits=None) -> np.ndarray
     """Apply the channel to the listed (1-based) qubits; global depolarizing
     ignores the qubit set."""
     rho = np.asarray(rho, dtype=complex)
-    n = n_qubits_of(rho)
+    dim = rho.shape[0] if rho.ndim == 2 else 0
+    if rho.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
+        raise ValueError(f"rho must be a square 2^n x 2^n matrix with n >= 1, got shape {rho.shape}")
+    n = dim.bit_length() - 1
     if model.kind == NoiseKind.GLOBAL_DEPOLARIZING:
-        dim = rho.shape[0]
         return (1 - model.p) * rho + model.p * np.trace(rho) * np.eye(dim) / dim
     qubits = range(1, n + 1) if qubits is None else qubits
     for q in qubits:
-        if not (1 <= q <= n):
+        check_integer(q, "qubit", 1)
+        if q > n:
             raise ValueError(f"qubit {q} outside register")
-        rho = _apply_kraus_single(rho, model.kraus, q, n)
+        rho = _apply_superoperator(rho, model.superoperator, q, n)
     return rho
 
 
@@ -128,6 +130,7 @@ def estimate_p_from_purity(purity_value: float, n_qubits: int) -> float:
 
 def mitigate_moment(moment_noisy: float, p: float, n: int, n_qubits: int) -> float:
     """Invert the global-depolarizing moment map."""
+    check_integer(n, "n", 1)
     if not (0.0 <= p < 1.0):
         raise ValueError("mitigation needs p in [0, 1)")
     shrink = (1.0 - p) ** (2 * n)
@@ -137,12 +140,14 @@ def mitigate_moment(moment_noisy: float, p: float, n: int, n_qubits: int) -> flo
 def mitigate_tsallis(tsallis_noisy: float, p: float, n: int, n_qubits: int) -> float:
     """Mitigated Tsallis entropy: the moment inversion applied to the noisy
     moment 1 + (1 - n) T_n."""
+    check_integer(n, "n", 2)
     return float((mitigate_moment(1.0 + (1.0 - n) * tsallis_noisy, p, n, n_qubits) - 1.0) / (1 - n))
 
 
 def mitigate_renyi(moment_noisy: float, p: float, n: int, n_qubits: int) -> float | None:
     """Mitigated Renyi entropy; None when the mitigated moment is nonpositive
     (a statistical-noise artifact worth surfacing rather than clamping)."""
+    check_integer(n, "n", 2)
     m = mitigate_moment(moment_noisy, p, n, n_qubits)
     if m <= 0.0:
         return None
@@ -170,6 +175,7 @@ def relative_error_study(
 ) -> list[NoiseStudyRecord]:
     """Per (circuit, p): exact pure/noisy/mitigated Renyi entropies and the
     mitigated-to-unmitigated error ratio against impurity."""
+    check_integer(n, "n", 2)
     records = []
     for inst, circuit in enumerate(circuits):
         nq = circuit.n_qubits

@@ -23,6 +23,9 @@ def phase_circuit_file(tmp_path):
     return str(path)
 
 
+HUGE_N = "1" + "0" * 400  # an integer beyond the float range
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -198,12 +201,16 @@ def test_a_non_finite_or_out_of_range_real_option_exits_three_naming_it(argv):
         (("budget", "--n", "0"), ["n must be"]),
         (("budget", "--n", "-3"), ["n must be"]),
         (("budget", "--renyi-target", "0.1", "--epsilon-m", "5"), ["renyi_target=0.1", "epsilon_m=5.0"]),
-        (("budget", "--renyi-target", "1e6"), ["renyi_target=1000000.0", "epsilon_m=0.01"]),
+        (("budget", "--renyi-target", "1e6"), ["renyi_target=1000000.0", "epsilon_m=0.01", "n=3"]),
+        (("budget", "--n", HUGE_N), [f"n={HUGE_N}"]),
+        (("budget", "--n", HUGE_N, "--renyi-target", "0"), [f"a float holds, got {HUGE_N}"]),
+        (("budget", "--n", "1" + "0" * 40, "--epsilon", "1e-140"), ["n=1" + "0" * 40]),
     ],
 )
 def test_a_bad_moment_index_or_derived_precision_exits_three_naming_its_inputs(argv, named, tmp_path):
     # the otoc and --n cases once printed 1, inf, copies 0 and copies -17712
-    # with exit 0; the Renyi cases named only a derived epsilon
+    # with exit 0; the Renyi cases named only a derived epsilon; an --n or a
+    # copy count beyond the float range ended in an OverflowError traceback
     if argv[0] == "exact":
         path = tmp_path / "bell.txt"
         path.write_text("qubits 2\nH 1\nCNOT 1 2\n")

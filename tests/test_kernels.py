@@ -2,11 +2,15 @@
 layer-2 Walsh-Hadamard transform against a radix-2 butterfly and the dense
 Sylvester matrix.
 
-`apply_gate` and `apply_channel` act on the 2x2 block of one qubit through a
-3-axis view.  The reference kernels below instead view the array as a
-[2]*n tensor, contract the qubit's axis with `np.tensordot` and move it back
-with `np.moveaxis`; they are an independent check of the block products,
-including the last qubit, whose trailing block has size 1.  CNOT is a row
+`apply_gate` acts on the 2x2 block of one qubit through a 3-axis view.
+`apply_channel` applies one 4x4 superoperator, sum_k K (x) conj(K), to the
+(row bit, column bit) pair of the density matrix in a single product.  The
+reference kernels below instead view the array as a [2]*n (or [2]*2n)
+tensor, contract the qubit's axis with `np.tensordot`, one Kraus operator at
+a time, and move it back with `np.moveaxis`; they are an independent check
+of both products, including the last qubit, whose trailing block has size 1.
+The superoperator sums the Kraus terms before the product, so the channel
+agrees with its reference to a tolerance, not bit for bit.  CNOT is a row
 permutation, built once per placement; the reference flips the target axis
 of the control-1 half of the same tensor, and the two agree bit for bit.
 `apply_pauli` gathers rows through the action a `PauliString` keeps; the
@@ -196,9 +200,9 @@ def test_writing_into_apply_paulis_result_leaves_the_next_call_unchanged():
 LOCAL_KINDS = [NoiseKind.LOCAL_DEPOLARIZING, NoiseKind.DEPHASING, NoiseKind.AMPLITUDE_DAMPING]
 
 
-@pytest.mark.parametrize("p", [1e-3, 0.3])
+@pytest.mark.parametrize("p", [1e-3, 0.3, 1.0])
 @pytest.mark.parametrize("kind", LOCAL_KINDS)
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_apply_channel_matches_tensordot_reference(n, kind, p):
     model = NoiseModel(kind, p)
     rho = random_density_matrix(n, np.random.default_rng(n))
@@ -209,6 +213,20 @@ def test_apply_channel_matches_tensordot_reference(n, kind, p):
         assert np.trace(got).real == pytest.approx(1.0, abs=1e-13)
         assert abs(np.trace(got).imag) < 1e-13
         np.testing.assert_allclose(got, got.conj().T, atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.3, 1.0])
+@pytest.mark.parametrize("kind", LOCAL_KINDS)
+def test_superoperator_is_cached_read_only_and_trace_preserving(kind, p):
+    model = NoiseModel(kind, p)
+    s = model.superoperator
+    assert s.shape == (4, 4)
+    assert model.superoperator is s
+    assert not s.flags.writeable
+    with pytest.raises(ValueError):
+        s[0, 0] = 0
+    # tr(S rho) = tr(rho): the (r, r) rows sum to vec(I)
+    np.testing.assert_allclose(s[[0, 3]].sum(axis=0), np.eye(2).ravel(), rtol=RTOL, atol=ATOL)
 
 
 def test_circuit_unitary_runs_past_the_density_guard():

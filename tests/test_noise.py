@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,3 +215,52 @@ def test_relative_error_study_records():
             assert rec.ratio is not None
     improved = [r for r in records if r.ratio is not None]
     assert any(r.ratio < 1 for r in improved)
+
+
+@pytest.mark.parametrize("qubit", [1.5, 2.0, True, 0, 3])
+def test_apply_channel_refuses_a_qubit_that_is_no_register_index(qubit):
+    # 1.5 and 2.0 once leaked a TypeError from a shift, True meant qubit 1
+    rho = random_density_matrix(2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="qubit"):
+        apply_channel(rho, NoiseModel(NoiseKind.DEPHASING, 0.1), [qubit])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("shape", [(4,), (4, 2), (3, 3), (1, 1), (2, 2, 2)])
+def test_apply_channel_refuses_a_rho_that_is_no_square_power_of_two_matrix(kind, shape):
+    # a vector and a 4x2 matrix once leaked numpy's "cannot reshape" error
+    with pytest.raises(ValueError, match=rf"rho must be .*{re.escape(str(shape))}"):
+        apply_channel(np.ones(shape, dtype=complex), NoiseModel(kind, 0.1), [1])
+
+
+@pytest.mark.parametrize("p", [True, "0.1", float("nan"), float("inf"), -0.1, 1.5, None])
+def test_noise_model_refuses_a_strength_that_is_no_real_in_unit_interval(p):
+    # True was accepted and "0.1" leaked a TypeError from the comparison
+    with pytest.raises(ValueError, match=rf"noise strength p .*{re.escape(repr(p))}"):
+        NoiseModel(NoiseKind.DEPHASING, p)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: mitigate_renyi(0.5, 0.1, n, 2),
+        lambda n: mitigate_tsallis(0.2, 0.1, n, 2),
+        lambda n: relative_error_study([random_clifford_circuit(2, 2, np.random.default_rng(0))],
+                                       NoiseKind.DEPHASING, [0.01], n=n),
+    ],
+    ids=["renyi", "tsallis", "study"],
+)
+@pytest.mark.parametrize("n", [1, 0, 2.0, True])
+def test_entropy_mitigation_refuses_a_moment_index_below_two(call, n):
+    # n = 1 once gave -inf with a divide-by-zero warning, a ZeroDivisionError
+    # and NaN records with warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="n must be an integer of at least 2"):
+            call(n)
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.0, True])
+def test_mitigate_moment_refuses_a_moment_index_below_one(n):
+    with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+        mitigate_moment(0.5, 0.1, n, 2)
