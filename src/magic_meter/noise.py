@@ -122,6 +122,7 @@ def noisy_circuit_state(circuit: Circuit, model: NoiseModel) -> np.ndarray:
 
 def estimate_p_from_purity(purity_value: float, n_qubits: int) -> float:
     """Invert tr(rho_dp^2) of the global-depolarizing model for p."""
+    check_integer(n_qubits, "n_qubits", 1)
     dim = 2**n_qubits
     if not (1.0 / dim < purity_value <= 1.0 + 1e-12):
         raise ValueError("purity outside (2^-N, 1]")
@@ -131,6 +132,7 @@ def estimate_p_from_purity(purity_value: float, n_qubits: int) -> float:
 def mitigate_moment(moment_noisy: float, p: float, n: int, n_qubits: int) -> float:
     """Invert the global-depolarizing moment map."""
     check_integer(n, "n", 1)
+    check_integer(n_qubits, "n_qubits", 1)
     if not (0.0 <= p < 1.0):
         raise ValueError("mitigation needs p in [0, 1)")
     shrink = (1.0 - p) ** (2 * n)

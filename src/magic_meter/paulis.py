@@ -7,8 +7,9 @@ i^{|z & x|} X^x Z^z, i.e. the Hermitian representative with sign +1.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,43 +159,74 @@ def commutes(sigma: PauliString, tau: PauliString) -> bool:
 
 # X-masks per wht call; perfbench's SPECTRUM_CHUNK derives bits.wht.calls from it.
 _CHUNK = 512
-# i^p looked up by p mod 4: exact, and cheaper than a complex power.
-_I_POWERS = np.array([1, 1j, -1, -1j])
+# 2 i^p looked up by p mod 4: exact, and cheaper than a complex power.
+_TWICE_I_POWERS = 2 * np.array([1, 1j, -1, -1j])
 
 
-def _pauli_transform(n: int, rows, finish) -> np.ndarray:
+@lru_cache(maxsize=STATEVECTOR_QUBIT_GUARD)
+def _half_rows(n: int) -> tuple[np.ndarray, ...]:
+    """Per bit b < n, the read-only ascending basis indices k with bit b clear,
+    built once per register width."""
+    kept = np.arange(1 << (n - 1))
+    rows = tuple(((kept >> b) << (b + 1)) | (kept & ((1 << b) - 1)) for b in range(n))
+    for k in rows:
+        k.flags.writeable = False
+    return rows
+
+
+def _pauli_transform(n: int, rows) -> np.ndarray:
     """The one Pauli-transform kernel over all 4^N strings sigma = (z, x).
 
-    For each chunk of X-masks, ``rows(x, k)`` gives the block f[x, k]
-    (x a column of masks, k a row of basis indices).  One Walsh-Hadamard
-    transform over k and the phase i^{|z&x|} turn it into
-    v[x, z] = i^{|z&x|} sum_k (-1)^{z.k} f[x, k], and ``finish`` maps v to
-    real values.  They are written through a strided (x bits, z bits) view
-    of the output: reshaped to one axis per index bit, the interleaved index
-    holds qubit j's z bit on axis 2j - 2 and its x bit on axis 2j - 1, so a
-    chunk of X-masks is the block of that view whose leading x bits are the
-    chunk's, and no index array is built.
+    ``rows(x, k)`` gives the block f[x, k] (x a column of X-masks, k a row of
+    basis indices), and the kernel returns the real values
+    v[x, z] = i^{|z&x|} sum_k (-1)^{z.k} f[x, k].  Each row must be Hermitian
+    under k -> k ^ x, f[x, k ^ x] = conj f[x, k], as the rows of a pure or
+    mixed state are, so only half of it is read.  For b the top set bit of x,
+    the half row h[k'] = f[x, k] over the k with bit b clear has the
+    transform W'; with z' = z less bit b and c = |z' & x|,
+    v[x, z] = 2 Re(i^c W'[z']) where bit b of z is 0 and -2 Im(i^c W'[z'])
+    where it is 1.  Mask 0 has no set bit: its real row pairs on bit 0,
+    f0 = f[0, k] and f1 = f[0, k | 1] packed into h = ((f0 + f1) - i(f0 - f1)) / 2,
+    which the same two formulas unpack.
+
+    One Walsh-Hadamard transform takes each chunk of X-masks.  The masks of
+    a chunk that share their top bit are one aligned block, filled by one
+    ``rows`` call and written through a strided (x bits, z bits) view of the
+    output: reshaped to one axis per index bit, the interleaved index holds
+    qubit j's z bit on axis 2j - 2 and its x bit on axis 2j - 1, so the block
+    is the part of that view whose leading x bits are the block's, and no
+    index array is built.
     """
     dim = 1 << n
-    k = np.arange(dim)[None, :]  # also the Z-masks z
     out = np.empty(4**n)
     by_xz = out.reshape((2,) * (2 * n)).transpose([*range(1, 2 * n, 2), *range(0, 2 * n, 2)])
+    kept = _half_rows(n)
     chunk = min(_CHUNK, dim)
-    fixed = n - chunk.bit_length() + 1  # leading x bits shared by a chunk
     for start in range(0, dim, chunk):
-        xs = np.arange(start, start + chunk)[:, None]
-        vals = wht(rows(xs, k)).astype(complex, copy=False)
-        vals *= _I_POWERS.take(np.bitwise_count(k & xs) & 3)
-        block = by_xz[tuple((start >> (n - 1 - b)) & 1 for b in range(fixed))]
-        block[...] = finish(vals).reshape(block.shape)
+        # (first mask, mask count, top bit b) of each block; mask 0 pairs on bit 0
+        if start:
+            blocks = [(start, chunk, start.bit_length() - 1)]
+        else:
+            blocks = [(0, 1, 0)] + [(1 << b, 1 << b, b) for b in range(chunk.bit_length() - 1)]
+        masks = [np.arange(first, first + count)[:, None] for first, count, _ in blocks]
+        half = np.empty((chunk, dim >> 1), dtype=complex)
+        for (first, count, b), xs in zip(blocks, masks):
+            if first:
+                half[first - start : first - start + count] = rows(xs, kept[b])
+            else:
+                f0, f1 = rows(xs, np.stack([kept[0], kept[0] | 1])).real
+                half[0] = ((f0 + f1) - 1j * (f0 - f1)) / 2
+        vals = wht(half)
+        for (first, count, b), xs in zip(blocks, masks):
+            block = vals[first - start : first - start + count]
+            block *= _TWICE_I_POWERS.take(np.bitwise_count(kept[b] & xs) & 3)
+            free = count.bit_length() - 1  # x bits that vary within the block
+            block = block.reshape((2,) * (free + n - 1))
+            lead = tuple((first >> (n - 1 - j)) & 1 for j in range(n - free))
+            at_b = lead + (slice(None),) * (free + n - 1 - b)  # z bit b comes next
+            by_xz[at_b + (0, ...)] = block.real
+            np.negative(block.imag, out=by_xz[at_b + (1, ...)])
     return out
-
-
-def _real_part(vals: np.ndarray) -> np.ndarray:
-    worst_imag = float(np.max(np.abs(vals.imag)))
-    if worst_imag > IMAG_TOL:
-        raise ConsistencyError(f"Pauli expectations have imaginary residue {worst_imag:.3e}")
-    return vals.real
 
 
 def all_expectations(state: np.ndarray) -> np.ndarray:
@@ -204,7 +236,9 @@ def all_expectations(state: np.ndarray) -> np.ndarray:
     conj(psi_{k^x}) psi_k (or rho[k, k^x]), the literal Pauli sum vectorized
     over the Z-masks.  The state is checked with ``validate_state`` after the
     size guard, so every spectrum consumer (moments, entropies, mixed Bell
-    sampling) refuses an unnormalized or non-finite state.
+    sampling) refuses an unnormalized, non-finite or non-Hermitian state;
+    the rows of what passes are Hermitian, so the values are real by
+    construction.
     """
     state = np.asarray(state)
     n = n_qubits_of(state)
@@ -218,11 +252,11 @@ def all_expectations(state: np.ndarray) -> np.ndarray:
 
         def rows(x, k):
             block = conj[k ^ x]
-            block *= state
+            block *= state[k]
             return block
 
-        return _pauli_transform(n, rows, _real_part)
-    return _pauli_transform(n, lambda x, k: state[k, k ^ x], _real_part)
+        return _pauli_transform(n, rows)
+    return _pauli_transform(n, lambda x, k: state[k, k ^ x])
 
 
 class PauliSpectrum:
@@ -233,8 +267,16 @@ class PauliSpectrum:
         self.n_qubits = n_qubits
 
     def probability(self, sigma) -> float:
-        idx = sigma.index if isinstance(sigma, PauliString) else int(sigma)
-        return float(self.probabilities[idx])
+        """Xi(sigma) for a PauliString of this width or an interleaved index in
+        [0, 4^N); any other key is a ValueError that names it."""
+        if isinstance(sigma, PauliString):
+            if sigma.n_qubits != self.n_qubits:
+                raise ValueError(f"Pauli string {sigma} has {sigma.n_qubits} qubits, the spectrum {self.n_qubits}")
+            return float(self.probabilities[sigma.index])
+        size = len(self.probabilities)
+        if isinstance(sigma, bool) or not (isinstance(sigma, numbers.Integral) and 0 <= sigma < size):
+            raise ValueError(f"Pauli index must be an integer in [0, {size}), got {sigma!r}")
+        return float(self.probabilities[sigma])
 
     def __getitem__(self, sigma) -> float:
         return self.probability(sigma)

@@ -17,7 +17,7 @@ from magic_meter.estimators import (
     renyi_precision_budget,
 )
 from magic_meter.oracles import bell_magic, pauli_moment
-from magic_meter.paulis import _pauli_transform, pauli_spectrum
+from magic_meter.paulis import pauli_spectrum
 from magic_meter.states import (
     conjugate_state,
     density_of,
@@ -26,6 +26,7 @@ from magic_meter.states import (
     t_state,
     zero_state,
 )
+from references import reference_pauli_transform
 
 
 def test_bell_distribution_zero_state():
@@ -46,11 +47,12 @@ def test_bell_distribution_conjugate_is_pauli_spectrum():
 
 
 def _same_copy_bell_from_pauli_algebra(psi):
-    """P(r) = 2^-N |<psi|sigma_r|psi*>|^2 from the Pauli transform of the rows
-    conj(psi[k]) conj(psi[k ^ x]): an independent route to bell_distribution(psi, psi)."""
+    """P(r) = 2^-N |<psi|sigma_r|psi*>|^2 from the full-row Pauli transform of
+    the rows conj(psi[k]) conj(psi[k ^ x]), which are not Hermitian under
+    k -> k ^ x: an independent route to bell_distribution(psi, psi)."""
     conj = psi.conj()
     nq = int(np.log2(psi.size))
-    return _pauli_transform(
+    return reference_pauli_transform(
         nq, lambda x, k: conj[k] * conj[k ^ x], lambda v: np.abs(v) ** 2 / 2**nq
     )
 

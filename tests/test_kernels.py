@@ -21,9 +21,13 @@ the two agree bit for bit as well.
 and the dense matrix sum in other orders, so they agree to a tolerance of
 1e-13 of max|a| * n, not bit for bit.
 
-The Pauli transform writes each chunk through a strided view of its output;
-the reference below builds the interleaved index of every (z, x) and
-scatters into it, with the same products, so the two agree bit for bit.  The
+The Pauli transform reads half of each Hermitian row f[x, k] (the pairs k,
+k ^ x), transforms it and unpacks the real values v[x, z] from the real and
+imaginary parts of the result, writing each block through a strided view of
+its output.  The reference (`references.reference_pauli_transform`)
+transforms every full row, multiplies by the phase i^{|z&x|} and scatters
+through the interleaved index of every (z, x); the two sum in other orders,
+so they agree to 1e-14, not bit for bit.  The
 pure-state Bell distribution is a product of 16 x 16 factors; the reference
 contracts the 4x4 Bell matrix into each pair axis with `np.tensordot`.
 """
@@ -33,7 +37,7 @@ import weakref
 import numpy as np
 import pytest
 
-from magic_meter._bits import interleave_zx, popcount, wht
+from magic_meter._bits import popcount, wht
 from magic_meter._guards import DENSITY_QUBIT_GUARD
 from magic_meter.circuits import (
     SINGLE_QUBIT_CLIFFORDS,
@@ -51,14 +55,13 @@ from magic_meter.estimators import bell_distribution
 from magic_meter.noise import NoiseKind, NoiseModel, _kraus_for, apply_channel
 from magic_meter.oracles import pauli_moment
 from magic_meter.paulis import (
-    _I_POWERS,
-    _real_part,
     all_expectations,
     apply_pauli,
     pauli_from_index,
     pauli_from_string,
 )
-from magic_meter.states import haar_random_state, n_qubits_of, random_density_matrix
+from magic_meter.states import density_of, haar_random_state, n_qubits_of, random_density_matrix
+from references import reference_pauli_transform
 
 RTOL, ATOL = 1e-14, 1e-15
 
@@ -309,23 +312,16 @@ def test_wht_rejects_a_length_that_is_not_a_power_of_two(n):
         wht(np.ones((2, n)))
 
 
-def reference_pauli_transform(n, rows, finish):
-    """The Pauli transform scattered through an interleaved index array."""
-    dim = 1 << n
-    k = np.arange(dim)[None, :]
-    out = np.empty(4**n)
-    for start in range(0, dim, 512):
-        xs = np.arange(start, min(start + 512, dim))[:, None]
-        vals = _I_POWERS[popcount(k & xs) & 3] * wht(rows(xs, k))
-        out[interleave_zx(k, xs, n).ravel()] = finish(vals).ravel()
-    return out
+def _real_values(vals):
+    assert np.max(np.abs(vals.imag)) <= 1e-12
+    return vals.real
 
 
 def reference_all_expectations(state):
     n = n_qubits_of(state)
     if state.ndim == 1:
-        return reference_pauli_transform(n, lambda x, k: state[k ^ x].conj() * state[k], _real_part)
-    return reference_pauli_transform(n, lambda x, k: state[k, k ^ x], _real_part)
+        return reference_pauli_transform(n, lambda x, k: state[k ^ x].conj() * state[k], _real_values)
+    return reference_pauli_transform(n, lambda x, k: state[k, k ^ x], _real_values)
 
 
 _BELL_4x4 = np.kron(_H, np.eye(2)) @ np.array(
@@ -351,11 +347,31 @@ def _spectrum_inputs():
 
 
 @pytest.mark.parametrize("state", _spectrum_inputs(), ids=lambda s: f"{s.ndim}d-{s.shape[0]}")
-def test_all_expectations_equals_the_scatter_reference_bit_for_bit(state):
+def test_all_expectations_matches_the_full_row_reference(state):
     before = state.copy()
     got = all_expectations(state)
     np.testing.assert_array_equal(state, before)
-    np.testing.assert_array_equal(got, reference_all_expectations(state))
+    np.testing.assert_allclose(got, reference_all_expectations(state), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pure_spectrum_invariants(n):
+    psi = haar_random_state(n, np.random.default_rng(800 + n))
+    before = psi.copy()
+    values = all_expectations(psi)
+    np.testing.assert_array_equal(psi, before)
+    # sum over sigma of <sigma>^2 is 2^N for a pure state
+    assert np.sum(values**2) == pytest.approx(2**n, rel=1e-12)
+    # the x = 0 row: <Z^z> = sum_k (-1)^{z.k} |psi_k|^2, read at index interleave(z, 0)
+    k = np.arange(1 << n)
+    signs = 1.0 - 2.0 * (popcount(k[:, None] & k[None, :]) & 1)
+    z_row = values.reshape((2,) * (2 * n))[(slice(None), 0) * n].reshape(-1)
+    np.testing.assert_allclose(z_row, signs @ np.abs(psi) ** 2, rtol=0, atol=1e-14)
+    if n <= DENSITY_QUBIT_GUARD:
+        rho = density_of(psi)
+        before = rho.copy()
+        np.testing.assert_allclose(all_expectations(rho), values, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(rho, before)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -264,3 +264,21 @@ def test_entropy_mitigation_refuses_a_moment_index_below_two(call, n):
 def test_mitigate_moment_refuses_a_moment_index_below_one(n):
     with pytest.raises(ValueError, match="n must be an integer of at least 1"):
         mitigate_moment(0.5, 0.1, n, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda nq: mitigate_moment(0.5, 0.1, 2, nq),
+        lambda nq: mitigate_renyi(0.5, 0.1, 2, nq),
+        lambda nq: mitigate_tsallis(0.2, 0.1, 2, nq),
+        lambda nq: estimate_p_from_purity(0.9, nq),
+    ],
+    ids=["moment", "renyi", "tsallis", "purity"],
+)
+@pytest.mark.parametrize("n_qubits", [-1, 0, 1.5, 2.5, 2.0, True])
+def test_mitigation_refuses_a_register_size_that_is_no_count(call, n_qubits):
+    # mitigate_moment(0.5, 0.1, 2, -1) once gave -0.286, mitigate_renyi(..., 0)
+    # 1.436 and estimate_p_from_purity(0.9, 2.5) 0.063
+    with pytest.raises(ValueError, match=rf"n_qubits must be an integer of at least 1, got {re.escape(repr(n_qubits))}"):
+        call(n_qubits)

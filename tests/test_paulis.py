@@ -145,6 +145,33 @@ def test_spectrum_t_state():
     assert spec[pauli_from_string("Z")] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_spectrum_reads_a_string_of_its_width_or_an_index_in_range():
+    spec = pauli_spectrum(t_state(2))
+    assert spec[pauli_from_string("IX")] == pytest.approx(0.125)
+    assert spec[pauli_from_string("IX").index] == pytest.approx(0.125)
+    assert spec[np.int64(15)] == spec.probability(pauli_from_string("YY"))
+
+
+@pytest.mark.parametrize(
+    "key, words",
+    [
+        (pauli_from_string("X"), "X has 1 qubits, the spectrum 2"),  # once read as IX
+        (pauli_from_string("XXX"), "XXX has 3 qubits"),
+        (-1, r"integer in \[0, 16\), got -1"),  # once the last entry
+        (True, "got True"),  # once index 1
+        (16, "got 16"),  # once numpy's IndexError
+        (1.0, "got 1.0"),
+        ("1", "got '1'"),
+    ],
+)
+def test_spectrum_refuses_a_key_of_another_width_or_out_of_range(key, words):
+    spec = pauli_spectrum(t_state(2))
+    with pytest.raises(ValueError, match=words):
+        spec.probability(key)
+    with pytest.raises(ValueError, match=words):
+        spec[key]
+
+
 def test_spectrum_stabilizer_support():
     # stabilizer states put weight 2^-N on exactly 2^N strings
     from magic_meter.circuits import apply_circuit, random_clifford_circuit
