@@ -39,11 +39,9 @@ from .experiments import (
 )
 from .hamiltonians import (
     PauliSum,
-    evolve,
     gue_hamiltonian,
     ising_hamiltonian,
     random_pauli_hamiltonian,
-    trotter_evolve,
 )
 from .noise import (
     NoiseKind,
@@ -52,7 +50,6 @@ from .noise import (
     estimate_p_from_purity,
     mitigate_moment,
     mitigate_renyi,
-    mitigate_tsallis,
     noisy_circuit_state,
     relative_error_study,
 )
@@ -71,14 +68,12 @@ from .oracles import (
     pauli_moment,
     renyi_stabilizer_entropy,
     stabilizer_fidelity,
-    tsallis_monotonicity_gap,
     tsallis_stabilizer_entropy,
     von_neumann_stabilizer_entropy,
 )
 from .paulis import (
     PauliSpectrum,
     PauliString,
-    commutes,
     expectation,
     pauli_from_bits,
     pauli_from_index,
@@ -86,12 +81,9 @@ from .paulis import (
     pauli_spectrum,
 )
 from .states import (
-    basis_state,
     choi_state,
-    conjugate_state,
     density_of,
     haar_random_state,
-    maximally_entangled_state,
     plus_state,
     purity,
     t_state,

@@ -106,9 +106,6 @@ class Circuit:
         """Positions of parameterized rotation gates within the gate list."""
         return [i for i, g in enumerate(self.gates) if "angle" in _GATES[g.name][0]]
 
-    def angles(self) -> np.ndarray:
-        return np.array([self.gates[i].angle for i in self.rotation_indices()])
-
     def shifted(self, k: int, delta: float) -> "Circuit":
         """Copy with the k-th rotation angle shifted by delta."""
         pos = self.rotation_indices()[k]
@@ -177,10 +174,6 @@ def gate_cnot(control: int, target: int) -> Gate:
 
 def gate_clifford(q: int, index: int) -> Gate:
     return Gate("C1", (q,), clifford_index=index)
-
-
-def gate_rotation(axis: PauliString, angle: float) -> Gate:
-    return Gate("ROT", _support(axis), angle=float(angle), axis=axis)
 
 
 def gate_rz(q: int, angle: float) -> Gate:

@@ -266,13 +266,16 @@ def exact_moment_gradient(circuit: Circuit, k: int, n: int) -> float:
 def estimate_participation(
     state: np.ndarray, q: int, shots: int, rng, seed: int | None = None
 ) -> EstimatorResult:
-    """Participation entropy I_q from computational-basis samples: disjoint
-    groups of q shots score 1 when all q bitstrings coincide."""
+    """Participation entropy I_q from computational-basis samples of a
+    statevector (a density matrix is refused): disjoint groups of q shots
+    score 1 when all q bitstrings coincide."""
     check_integer(q, "q", 2)
     check_integer(shots, "shots", q)
     rng = np.random.default_rng(rng)
     psi = np.asarray(state, dtype=complex)
     validate_state(psi)
+    if psi.ndim != 1:
+        raise ValueError(f"participation sampling takes a statevector, got shape {psi.shape}")
     probs = np.abs(psi) ** 2
     groups = shots // q
     draws = rng.choice(probs.shape[0], size=(groups, q), p=probs / probs.sum())

@@ -202,8 +202,8 @@ def _sweep_rows(config: ExperimentConfig, one, names, tail_names) -> list[Record
 
 
 def haar_reference(n_qubits: int, n: int, samples: int, rng) -> dict[str, float]:
-    """Monte-Carlo mean of the n-th moment and Tsallis/Renyi entropies of
-    Haar-random states, with standard errors."""
+    """Monte-Carlo mean of the n-th moment and Tsallis entropy of Haar-random
+    states, with standard errors."""
     rng = np.random.default_rng(rng)
     moments = np.array([pauli_moment(haar_random_state(n_qubits, rng), n) for _ in range(samples)])
     tsallis = (moments - 1.0) / (1 - n)
@@ -212,8 +212,6 @@ def haar_reference(n_qubits: int, n: int, samples: int, rng) -> dict[str, float]
         "moment_se": float(np.std(moments, ddof=1) / np.sqrt(samples)),
         "tsallis_mean": float(np.mean(tsallis)),
         "tsallis_se": float(np.std(tsallis, ddof=1) / np.sqrt(samples)),
-        "renyi_mean": float(np.mean(np.log(moments) / (1 - n))),
-        "renyi_se": float(np.std(np.log(moments) / (1 - n), ddof=1) / np.sqrt(samples)),
     }
 
 

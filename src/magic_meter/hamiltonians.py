@@ -1,6 +1,6 @@
 """Hamiltonians for the scrambling studies: GUE matrices, sums of random
-Pauli strings, the disordered Heisenberg/Ising chain, and exact/Trotterized
-time evolution."""
+Pauli strings, the disordered Heisenberg/Ising chain, and exact time
+evolution by dense eigendecomposition."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,13 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._guards import UNITARY_QUBIT_GUARD, check_capacity, check_integer
-from .paulis import (
-    PauliString,
-    apply_pauli,
-    commutes,
-    pauli_from_index,
-    pauli_from_string,
-)
+from .paulis import PauliString, pauli_from_index, pauli_from_string
 from .states import n_qubits_of
 
 HERMITIAN_TOL = 1e-10
@@ -114,37 +108,3 @@ class Evolver:
     def evolve(self, t: float, psi: np.ndarray) -> np.ndarray:
         coeffs = self.eigvecs.conj().T @ psi
         return self.eigvecs @ (np.exp(-1j * self.eigvals * t) * coeffs)
-
-
-def evolve(hamiltonian, t: float, psi: np.ndarray) -> np.ndarray:
-    """exp(-i H t)|psi> via dense eigendecomposition."""
-    return Evolver(hamiltonian).evolve(t, psi)
-
-
-def commuting_groups(terms) -> list[list[tuple[float, PauliString]]]:
-    """Greedy partition of Pauli terms into mutually commuting groups."""
-    groups: list[list[tuple[float, PauliString]]] = []
-    for g, sigma in terms:
-        for group in groups:
-            if all(commutes(sigma, tau) for _, tau in group):
-                group.append((g, sigma))
-                break
-        else:
-            groups.append([(g, sigma)])
-    return groups
-
-
-def trotter_evolve(hamiltonian: PauliSum, t: float, steps: int, psi: np.ndarray) -> np.ndarray:
-    """First-order product formula over commuting groups of the Pauli sum."""
-    if not isinstance(hamiltonian, PauliSum):
-        raise ValueError("Trotterization needs a Pauli-sum Hamiltonian")
-    check_integer(steps, "steps", 1)
-    dt = t / steps
-    groups = commuting_groups(hamiltonian.terms)
-    psi = np.asarray(psi, dtype=complex)
-    for _ in range(steps):
-        for group in groups:
-            for g, sigma in group:
-                half = g * dt
-                psi = np.cos(half) * psi - 1j * np.sin(half) * apply_pauli(sigma, psi)
-    return psi

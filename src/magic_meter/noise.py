@@ -139,13 +139,6 @@ def mitigate_moment(moment_noisy: float, p: float, n: int, n_qubits: int) -> flo
     return float(moment_noisy / shrink - (1.0 / shrink - 1.0) / 2**n_qubits)
 
 
-def mitigate_tsallis(tsallis_noisy: float, p: float, n: int, n_qubits: int) -> float:
-    """Mitigated Tsallis entropy: the moment inversion applied to the noisy
-    moment 1 + (1 - n) T_n."""
-    check_integer(n, "n", 2)
-    return float((mitigate_moment(1.0 + (1.0 - n) * tsallis_noisy, p, n, n_qubits) - 1.0) / (1 - n))
-
-
 def mitigate_renyi(moment_noisy: float, p: float, n: int, n_qubits: int) -> float | None:
     """Mitigated Renyi entropy; None when the mitigated moment is nonpositive
     (a statistical-noise artifact worth surfacing rather than clamping)."""

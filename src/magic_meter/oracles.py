@@ -1,7 +1,7 @@
 """Exact brute-force reference computations: Pauli-spectrum moments,
 stabilizer entropies, participation entropy and flatness, OTOCs and their
-Clifford averages, stabilizer-state enumeration, magic-monotone bounds,
-Bell magic, and the Tsallis measurement-monotonicity gap.
+Clifford averages, stabilizer-state enumeration, magic-monotone bounds and
+Bell magic.
 
 Everything here is exponential-cost and serves as the oracle the sampling
 estimators are checked against.
@@ -90,11 +90,15 @@ def moment_operator(n: int) -> np.ndarray:
 
 
 def participation_entropy(state: np.ndarray, q: float) -> float:
-    """I_q = sum_k |<k|psi>|^{2q} of the computational-basis distribution."""
+    """I_q = sum_k |<k|psi>|^{2q} of the computational-basis distribution of
+    a statevector; a density matrix is refused."""
     if not (finite_real(q) and q > 0):
         raise ValueError(f"q must be finite and positive, got {q!r}")
+    state = np.asarray(state)
     validate_state(state)
-    probs = np.abs(np.asarray(state)) ** 2
+    if state.ndim != 1:
+        raise ValueError(f"participation entropy takes a statevector, got shape {state.shape}")
+    probs = np.abs(state) ** 2
     return float(np.sum(probs**q))
 
 
@@ -248,31 +252,3 @@ def bell_magic(state: np.ndarray) -> tuple[float, float]:
     b = max(b, 0.0)
     additive = float(-np.log2(max(1.0 - b, 1e-300)))
     return b, additive
-
-
-# -- strong monotonicity gap ----------------------------------------------------
-
-def tsallis_monotonicity_gap(state: np.ndarray, measured_qubits, n) -> float:
-    """T_n(psi) minus the average T_n of the post-measurement states for a
-    computational-basis measurement on the given (1-based) qubit subset.
-    Negative values witness a strong-monotonicity violation."""
-    psi = np.asarray(state, dtype=complex)
-    nq = n_qubits_of(psi)
-    subset = sorted(set(int(q) for q in measured_qubits))
-    if not subset:
-        raise ValueError("measured qubit subset must be nonempty")
-    if any(q < 1 or q > nq for q in subset):
-        raise ValueError("measured qubit outside register")
-    before = tsallis_stabilizer_entropy(psi, n)
-    axes = [q - 1 for q in subset]
-    # one row per outcome, the measured bits most significant in qubit order
-    branches = np.moveaxis(psi.reshape([2] * nq), axes, range(len(axes))).reshape(2 ** len(axes), -1)
-    after = 0.0
-    for branch in branches:
-        prob = float(np.sum(np.abs(branch) ** 2))
-        if prob < 1e-12:
-            continue
-        if branch.size == 1:
-            continue  # all qubits measured: post-state is a basis state, T_n = 0
-        after += prob * tsallis_stabilizer_entropy(branch / np.sqrt(prob), n)
-    return before - after

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._bits import deinterleave_index, interleave_zx, popcount, wht
-from ._guards import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity
+from ._guards import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity, check_integer
 from .states import n_qubits_of, validate_state
 
 _CHAR_TO_PAIR = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
@@ -41,8 +41,9 @@ class PauliString:
     n_qubits: int
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
+        check_integer(self.n_qubits, "n_qubits", 1)
+        check_integer(self.z, "z", 0)
+        check_integer(self.x, "x", 0)
         top = 1 << self.n_qubits
         if not (0 <= self.z < top and 0 <= self.x < top):
             raise ValueError("z/x masks out of range for qubit count")
@@ -91,12 +92,14 @@ def _phase(sigma: PauliString, k: np.ndarray) -> np.ndarray:
 
 
 def pauli_from_bits(bits) -> PauliString:
-    """Decode a 2N-bit vector (qubit-1 pair first) into a PauliString."""
-    arr = np.asarray(bits, dtype=np.int64).ravel()
+    """Decode a 2N-bit vector (qubit-1 pair first) into a PauliString; each
+    entry must be the integer 0 or 1, not a bool or a float."""
+    arr = np.asarray(bits, dtype=object).ravel()
     if arr.size == 0 or arr.size % 2:
         raise ValueError("bit vector must have positive even length")
-    if np.any((arr != 0) & (arr != 1)):
-        raise ValueError("bits must be 0 or 1")
+    for b in arr:
+        if isinstance(b, bool) or not (isinstance(b, numbers.Integral) and b in (0, 1)):
+            raise ValueError(f"bits must be the integers 0 or 1, got {b!r}")
     n = arr.size // 2
     z = int("".join(str(b) for b in arr[0::2]), 2)
     x = int("".join(str(b) for b in arr[1::2]), 2)
@@ -105,7 +108,9 @@ def pauli_from_bits(bits) -> PauliString:
 
 def pauli_from_index(index: int, n_qubits: int) -> PauliString:
     """PauliString for an interleaved 2N-bit integer index."""
-    if not (0 <= index < 4**n_qubits):
+    check_integer(n_qubits, "n_qubits", 1)
+    check_integer(index, "index", 0)
+    if index >= 4**n_qubits:
         raise ValueError("index out of range")
     z, x = deinterleave_index(index, n_qubits)
     return PauliString(int(z), int(x), n_qubits)
@@ -147,14 +152,6 @@ def expectation(state: np.ndarray, sigma: PauliString) -> float:
     if abs(val.imag) > IMAG_TOL:
         raise ConsistencyError(f"<{sigma}> has imaginary residue {val.imag:.3e}")
     return float(val.real)
-
-
-def commutes(sigma: PauliString, tau: PauliString) -> bool:
-    """True iff the symplectic inner product of the bit vectors is even."""
-    if sigma.n_qubits != tau.n_qubits:
-        raise ValueError("qubit counts differ")
-    overlap = popcount(sigma.z & tau.x) + popcount(sigma.x & tau.z)
-    return int(overlap) % 2 == 0
 
 
 # X-masks per wht call; perfbench's SPECTRUM_CHUNK derives bits.wht.calls from it.
@@ -280,9 +277,6 @@ class PauliSpectrum:
 
     def __getitem__(self, sigma) -> float:
         return self.probability(sigma)
-
-    def total(self) -> float:
-        return float(self.probabilities.sum())
 
 
 def pauli_spectrum(state: np.ndarray) -> PauliSpectrum:

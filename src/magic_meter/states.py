@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._guards import check_integer
+
 
 def n_qubits_of(state: np.ndarray) -> int:
     """Qubit count of a statevector or density matrix."""
@@ -48,24 +50,21 @@ def validate_state(state) -> None:
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
+    check_integer(n_qubits, "n_qubits", 1)
     psi = np.zeros(1 << n_qubits, dtype=complex)
     psi[0] = 1.0
     return psi
 
 
-def basis_state(index: int, n_qubits: int) -> np.ndarray:
-    psi = np.zeros(1 << n_qubits, dtype=complex)
-    psi[index] = 1.0
-    return psi
-
-
 def plus_state(n_qubits: int) -> np.ndarray:
+    check_integer(n_qubits, "n_qubits", 1)
     dim = 1 << n_qubits
     return np.full(dim, dim**-0.5, dtype=complex)
 
 
 def product_phase_state(n_qubits: int, s: float) -> np.ndarray:
     """(|0> + e^{i pi s / 4}|1>)^{tensor N} / 2^{N/2}."""
+    check_integer(n_qubits, "n_qubits", 1)
     single = np.array([1.0, np.exp(1j * np.pi * s / 4)]) / np.sqrt(2)
     psi = single
     for _ in range(n_qubits - 1):
@@ -79,20 +78,11 @@ def t_state(n_qubits: int = 1) -> np.ndarray:
 
 
 def haar_random_state(n_qubits: int, rng) -> np.ndarray:
+    check_integer(n_qubits, "n_qubits", 1)
     rng = np.random.default_rng(rng)
     dim = 1 << n_qubits
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
-
-
-def random_density_matrix(n_qubits: int, rng, rank: int | None = None) -> np.ndarray:
-    """Random mixed state from a Ginibre factor of the given rank."""
-    rng = np.random.default_rng(rng)
-    dim = 1 << n_qubits
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho)
 
 
 def density_of(psi: np.ndarray) -> np.ndarray:
@@ -102,19 +92,6 @@ def density_of(psi: np.ndarray) -> np.ndarray:
 
 def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
-
-
-def conjugate_state(psi: np.ndarray) -> np.ndarray:
-    """Element-wise complex conjugate in the computational basis."""
-    return np.asarray(psi, dtype=complex).conj()
-
-
-def maximally_entangled_state(n_qubits: int) -> np.ndarray:
-    """2N-qubit state 2^{-N/2} sum_i |i>|i> (first register = first N qubits)."""
-    dim = 1 << n_qubits
-    phi = np.zeros(dim * dim, dtype=complex)
-    phi[np.arange(dim) * dim + np.arange(dim)] = dim**-0.5
-    return phi
 
 
 def choi_state(unitary: np.ndarray) -> np.ndarray:

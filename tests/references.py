@@ -1,8 +1,11 @@
-"""Reference implementations that only the tests use, kept apart from the
-library as independent cross-checks."""
+"""Reference implementations and fixtures that only the tests use, kept apart
+from the library as independent cross-checks."""
 import numpy as np
 
 from magic_meter._bits import interleave_zx, popcount, wht
+from magic_meter.oracles import tsallis_stabilizer_entropy
+from magic_meter.paulis import PauliString
+from magic_meter.states import n_qubits_of
 
 # i^p looked up by p mod 4
 I_POWERS = np.array([1, 1j, -1, -1j])
@@ -20,3 +23,59 @@ def reference_pauli_transform(n, rows, finish):
         vals = I_POWERS[popcount(k & xs) & 3] * wht(rows(xs, k))
         out[interleave_zx(k, xs, n).ravel()] = finish(vals).ravel()
     return out
+
+
+def commutes(sigma: PauliString, tau: PauliString) -> bool:
+    """True iff the symplectic inner product of the bit vectors is even."""
+    if sigma.n_qubits != tau.n_qubits:
+        raise ValueError("qubit counts differ")
+    overlap = popcount(sigma.z & tau.x) + popcount(sigma.x & tau.z)
+    return int(overlap) % 2 == 0
+
+
+def basis_state(index: int, n_qubits: int) -> np.ndarray:
+    psi = np.zeros(1 << n_qubits, dtype=complex)
+    psi[index] = 1.0
+    return psi
+
+
+def random_density_matrix(n_qubits: int, rng, rank: int | None = None) -> np.ndarray:
+    """Random mixed state from a Ginibre factor of the given rank."""
+    rng = np.random.default_rng(rng)
+    dim = 1 << n_qubits
+    rank = dim if rank is None else rank
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+def conjugate_state(psi: np.ndarray) -> np.ndarray:
+    """Element-wise complex conjugate in the computational basis."""
+    return np.asarray(psi, dtype=complex).conj()
+
+
+def maximally_entangled_state(n_qubits: int) -> np.ndarray:
+    """2N-qubit state 2^{-N/2} sum_i |i>|i> (first register = first N qubits)."""
+    dim = 1 << n_qubits
+    phi = np.zeros(dim * dim, dtype=complex)
+    phi[np.arange(dim) * dim + np.arange(dim)] = dim**-0.5
+    return phi
+
+
+def tsallis_monotonicity_gap(state: np.ndarray, measured_qubits, n) -> float:
+    """T_n(psi) minus the average T_n of the post-measurement states for a
+    computational-basis measurement on the given (1-based) qubit subset.
+    Negative values witness a strong-monotonicity violation."""
+    psi = np.asarray(state, dtype=complex)
+    nq = n_qubits_of(psi)
+    axes = sorted(set(q - 1 for q in measured_qubits))
+    before = tsallis_stabilizer_entropy(psi, n)
+    # one row per outcome, the measured bits most significant in qubit order
+    branches = np.moveaxis(psi.reshape([2] * nq), axes, range(len(axes))).reshape(2 ** len(axes), -1)
+    after = 0.0
+    for branch in branches:
+        prob = float(np.sum(np.abs(branch) ** 2))
+        if prob < 1e-12 or branch.size == 1:
+            continue  # an outcome never seen, or all qubits measured: T_n = 0 on a basis state
+        after += prob * tsallis_stabilizer_entropy(branch / np.sqrt(prob), n)
+    return before - after

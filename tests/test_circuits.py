@@ -22,7 +22,6 @@ from magic_meter.circuits import (
     doped_layered_gate_layers,
     gate_cnot,
     gate_h,
-    gate_rotation,
     gate_rz,
     gate_t,
     load_circuit,
@@ -33,13 +32,8 @@ from magic_meter.circuits import (
 from magic_meter.cli import main
 from magic_meter.oracles import pauli_moment
 from magic_meter.paulis import expectation, pauli_from_index, pauli_from_string
-from magic_meter.states import (
-    choi_state,
-    conjugate_state,
-    haar_random_state,
-    maximally_entangled_state,
-    t_state,
-)
+from magic_meter.states import choi_state, haar_random_state, t_state
+from references import conjugate_state, maximally_entangled_state
 
 
 def test_single_qubit_clifford_table():
@@ -90,7 +84,7 @@ def test_rotation_convention_matches_t_gate():
 def test_rotation_general_axis():
     axis = pauli_from_string("XX")
     theta = 0.37
-    u = circuit_unitary(Circuit(2, (gate_rotation(axis, theta),)))
+    u = circuit_unitary(Circuit(2, (Gate("ROT", (1, 2), angle=theta, axis=axis),)))
     ref = (
         np.cos(theta / 2) * np.eye(4)
         - 1j * np.sin(theta / 2) * axis.to_matrix()
@@ -104,7 +98,7 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         Circuit(2, (gate_cnot(1, 1),))
     with pytest.raises(ValueError):
-        Circuit(2, (gate_rotation(pauli_from_string("II"), 0.3),))
+        Circuit(2, (Gate("ROT", (), angle=0.3, axis=pauli_from_string("II")),))
     with pytest.raises(ValueError, match="at least 1 qubit"):
         Circuit(0, ())
 
@@ -203,7 +197,7 @@ def test_text_serialization_roundtrip():
             gate_cnot(1, 2),
             gate_t(3),
             gate_rz(2, 0.785398),
-            gate_rotation(pauli_from_string("XZI"), -1.25),
+            Gate("ROT", (1, 2), angle=-1.25, axis=pauli_from_string("XZI")),
         ),
     )
     parsed = circuit_from_text(circuit_to_text(circ))
@@ -228,8 +222,8 @@ def test_text_parse_errors():
 def test_shifted_angles():
     circ = Circuit(1, (gate_h(1), gate_rz(1, 0.3)))
     shifted = circ.shifted(0, np.pi / 2)
-    assert shifted.angles()[0] == pytest.approx(0.3 + np.pi / 2)
-    assert circ.angles()[0] == pytest.approx(0.3)
+    assert shifted.gates[1].angle == pytest.approx(0.3 + np.pi / 2)
+    assert circ.gates[1].angle == pytest.approx(0.3)
 
 
 def test_normalization_preserved():
@@ -249,9 +243,9 @@ def table_gates(draw, n: int, name: str) -> Gate:
         "axis": pauli_from_index(draw(st.integers(1, 4**n - 1)), n) if "axis" in kinds else None,
         "index": draw(st.integers(0, 23)) if "index" in kinds else None,
     }
-    if named["axis"] is not None:
-        return gate_rotation(named["axis"], named["angle"])
-    return Gate(name, tuple(qubits), named["angle"], None, named["index"])
+    if named["axis"] is not None:  # the axis support gives the qubits
+        qubits = [j + 1 for j, c in enumerate(str(named["axis"])) if c != "I"]
+    return Gate(name, tuple(qubits), named["angle"], named["axis"], named["index"])
 
 
 @pytest.mark.parametrize("name", sorted(_GATES))

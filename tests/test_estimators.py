@@ -9,6 +9,7 @@ from magic_meter.estimators import (
     estimate_moment_bell,
     estimate_moment_conjugate,
     estimate_moment_gradient,
+    estimate_flatness,
     estimate_participation,
     estimate_purity,
     exact_moment_gradient,
@@ -18,15 +19,8 @@ from magic_meter.estimators import (
 )
 from magic_meter.oracles import bell_magic, pauli_moment
 from magic_meter.paulis import pauli_spectrum
-from magic_meter.states import (
-    conjugate_state,
-    density_of,
-    haar_random_state,
-    plus_state,
-    t_state,
-    zero_state,
-)
-from references import reference_pauli_transform
+from magic_meter.states import density_of, haar_random_state, plus_state, t_state, zero_state
+from references import conjugate_state, reference_pauli_transform
 
 
 def test_bell_distribution_zero_state():
@@ -273,6 +267,20 @@ def test_estimators_refuse_an_unnormalized_or_non_finite_state(estimate, state, 
 
 
 @pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda s: estimate_participation(s, 2, 50, np.random.default_rng(0)),
+        lambda s: estimate_flatness(s, 50, np.random.default_rng(0)),
+    ],
+    ids=["participation", "flatness"],
+)
+def test_basis_sampling_estimators_refuse_a_density_matrix(estimate):
+    # unchecked, both leaked numpy's "p must be 1-dimensional"
+    with pytest.raises(ValueError, match=r"statevector, got shape \(2, 2\)"):
+        estimate(density_of(t_state()))
+
+
+@pytest.mark.parametrize(
     "q, shots, name",
     [(2.0, 10, "q"), (True, 10, "q"), (1, 10, "q"), (2, 10.5, "shots"), (2, 10.0, "shots"), (3, 2, "shots")],
 )
@@ -292,7 +300,6 @@ def test_participation_estimator():
 
 
 def test_flatness_composite_estimator():
-    from magic_meter.estimators import estimate_flatness
     from magic_meter.oracles import flatness
 
     res = estimate_flatness(zero_state(2), 2000, np.random.default_rng(30))

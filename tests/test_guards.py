@@ -25,7 +25,7 @@ from magic_meter.estimators import (
     renyi_precision_budget,
 )
 from magic_meter.experiments import ExperimentConfig, _resolve
-from magic_meter.hamiltonians import Evolver, PauliSum, random_pauli_hamiltonian, trotter_evolve
+from magic_meter.hamiltonians import Evolver, PauliSum, random_pauli_hamiltonian
 from magic_meter.noise import NoiseKind, NoiseModel, noisy_circuit_state
 from magic_meter.oracles import (
     bell_magic,
@@ -35,8 +35,8 @@ from magic_meter.oracles import (
     otoc,
     pauli_moment,
 )
-from magic_meter.paulis import PauliString, all_expectations
-from magic_meter.states import t_state, zero_state
+from magic_meter.paulis import PauliString, all_expectations, pauli_from_index
+from magic_meter.states import haar_random_state, plus_state, t_state, zero_state
 
 
 def _vector(n):
@@ -132,7 +132,6 @@ def test_guard_plus_one_raises_capacity_error_before_allocating(entry):
 
 
 _ROTATIONS = random_rotation_circuit(2, 1, 0)
-_HAMILTONIAN = random_pauli_hamiltonian(2, 3, 0)
 
 # entry point -> (function of the integer argument, argument name, least value)
 _INTEGER_ARGUMENTS = {
@@ -155,7 +154,15 @@ _INTEGER_ARGUMENTS = {
     "estimate_participation-q": (lambda v: estimate_participation(t_state(1), v, 10, 0), "q", 2),
     "estimate_participation-shots": (lambda v: estimate_participation(t_state(1), 2, v, 0), "shots", 2),
     "random_pauli_hamiltonian-n_terms": (lambda v: random_pauli_hamiltonian(2, v, 0), "n_terms", 1),
-    "trotter_evolve-steps": (lambda v: trotter_evolve(_HAMILTONIAN, 1.0, v, zero_state(2)), "steps", 1),
+    "zero_state-n_qubits": (zero_state, "n_qubits", 1),
+    "plus_state-n_qubits": (plus_state, "n_qubits", 1),
+    "t_state-n_qubits": (t_state, "n_qubits", 1),
+    "haar_random_state-n_qubits": (lambda v: haar_random_state(v, 0), "n_qubits", 1),
+    "PauliString-z": (lambda v: PauliString(v, 0, 1), "z", 0),
+    "PauliString-x": (lambda v: PauliString(0, v, 1), "x", 0),
+    "PauliString-n_qubits": (lambda v: PauliString(0, 0, v), "n_qubits", 1),
+    "pauli_from_index-index": (lambda v: pauli_from_index(v, 1), "index", 0),
+    "pauli_from_index-n_qubits": (lambda v: pauli_from_index(0, v), "n_qubits", 1),
     "config-instances": (
         lambda v: _resolve(ExperimentConfig("gue_time_sweep", params={"instances": v})), "instances", 1,
     ),

@@ -4,16 +4,13 @@ import pytest
 from magic_meter.hamiltonians import (
     Evolver,
     PauliSum,
-    commuting_groups,
     dense_of,
-    evolve,
     gue_hamiltonian,
     ising_hamiltonian,
     random_pauli_hamiltonian,
-    trotter_evolve,
 )
 from magic_meter.paulis import pauli_from_string
-from magic_meter.states import haar_random_state, plus_state, zero_state
+from magic_meter.states import haar_random_state, plus_state
 
 
 def test_gue_hermitian_and_scale():
@@ -96,14 +93,14 @@ def test_evolve_basics():
     rng = np.random.default_rng(4)
     psi = haar_random_state(3, rng)
     h = gue_hamiltonian(3, rng)
-    assert np.allclose(evolve(h, 0.0, psi), psi)
-    out = evolve(h, 2.7, psi)
+    assert np.allclose(Evolver(h).evolve(0.0, psi), psi)
+    out = Evolver(h).evolve(2.7, psi)
     assert abs(np.linalg.norm(out) - 1) < 1e-10
 
 
 def test_evolve_z_rotation():
     # exp(-i Z pi/2)|+> = -i|-> up to the global phase
-    out = evolve(np.diag([1.0, -1.0]).astype(complex), np.pi / 2, plus_state(1))
+    out = Evolver(np.diag([1.0, -1.0]).astype(complex)).evolve(np.pi / 2, plus_state(1))
     minus = np.array([1, -1]) / np.sqrt(2)
     assert abs(abs(np.vdot(minus, out)) - 1) < 1e-12
 
@@ -118,42 +115,7 @@ def test_evolver_unitary_consistency():
 
 def test_non_hermitian_rejected():
     with pytest.raises(ValueError):
-        evolve(np.array([[0, 1], [0, 0]], dtype=complex), 1.0, zero_state(1))
-
-
-def test_commuting_groups_cover_terms():
-    rng = np.random.default_rng(6)
-    h = random_pauli_hamiltonian(3, 12, rng)
-    groups = commuting_groups(h.terms)
-    assert sum(len(g) for g in groups) == 12
-    from magic_meter.paulis import commutes
-
-    for group in groups:
-        for i, (_, a) in enumerate(group):
-            for _, b in group[i + 1:]:
-                assert commutes(a, b)
-
-
-def test_trotter_exact_for_commuting_hamiltonian():
-    terms = tuple(
-        (c, pauli_from_string(s)) for c, s in [(0.3, "ZI"), (-0.7, "IZ"), (0.2, "ZZ")]
-    )
-    h = PauliSum(terms, 2)
-    psi = haar_random_state(2, np.random.default_rng(7))
-    exact = evolve(h, 1.9, psi)
-    stepped = trotter_evolve(h, 1.9, 1, psi)
-    assert np.max(np.abs(exact - stepped)) < 1e-10
-
-
-def test_trotter_converges():
-    rng = np.random.default_rng(8)
-    h = random_pauli_hamiltonian(2, 6, rng)
-    psi = haar_random_state(2, rng)
-    exact = evolve(h, 1.5, psi)
-    err16 = np.linalg.norm(trotter_evolve(h, 1.5, 16, psi) - exact)
-    err256 = np.linalg.norm(trotter_evolve(h, 1.5, 256, psi) - exact)
-    assert err256 < err16
-    assert np.allclose(trotter_evolve(h, 0.0, 8, psi), psi)
+        Evolver(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_dense_of_pauli_sum_matches_matrices():

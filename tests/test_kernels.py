@@ -60,8 +60,8 @@ from magic_meter.paulis import (
     pauli_from_index,
     pauli_from_string,
 )
-from magic_meter.states import density_of, haar_random_state, n_qubits_of, random_density_matrix
-from references import reference_pauli_transform
+from magic_meter.states import density_of, haar_random_state, n_qubits_of
+from references import random_density_matrix, reference_pauli_transform
 
 RTOL, ATOL = 1e-14, 1e-15
 

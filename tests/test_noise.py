@@ -12,19 +12,12 @@ from magic_meter.noise import (
     estimate_p_from_purity,
     mitigate_moment,
     mitigate_renyi,
-    mitigate_tsallis,
     noisy_circuit_state,
     relative_error_study,
 )
-from magic_meter.oracles import pauli_moment, renyi_stabilizer_entropy, tsallis_stabilizer_entropy
-from magic_meter.states import (
-    basis_state,
-    density_of,
-    haar_random_state,
-    purity,
-    random_density_matrix,
-    t_state,
-)
+from magic_meter.oracles import pauli_moment, renyi_stabilizer_entropy
+from magic_meter.states import density_of, haar_random_state, purity, t_state
+from references import basis_state, random_density_matrix
 
 ALL_KINDS = [
     NoiseKind.GLOBAL_DEPOLARIZING,
@@ -132,7 +125,6 @@ def test_estimate_p_round_trip():
 
 def test_mitigation_identity_at_zero_noise():
     assert mitigate_moment(0.42, 0.0, 2, 3) == pytest.approx(0.42)
-    assert mitigate_tsallis(0.1, 0.0, 2, 3) == pytest.approx(0.1)
 
 
 def depolarized_moment(moment_pure: float, p: float, n: int, n_qubits: int) -> float:
@@ -159,15 +151,11 @@ def test_mitigate_t_state_example():
     assert mitigate_moment(noisy, 0.1, 2, 1) == pytest.approx(0.75, abs=1e-12)
 
 
-def test_mitigate_tsallis_and_renyi_consistency():
+def test_mitigate_renyi_consistency():
     rng = np.random.default_rng(10)
     psi = haar_random_state(2, rng)
     p, n = 0.15, 3
     rho = apply_channel(density_of(psi), NoiseModel(NoiseKind.GLOBAL_DEPOLARIZING, p))
-    t_noisy = tsallis_stabilizer_entropy(rho, n)
-    assert mitigate_tsallis(t_noisy, p, n, 2) == pytest.approx(
-        tsallis_stabilizer_entropy(psi, n), abs=1e-10
-    )
     m_noisy = pauli_moment(rho, n)
     assert mitigate_renyi(m_noisy, p, n, 2) == pytest.approx(
         renyi_stabilizer_entropy(psi, n), abs=1e-10
@@ -244,11 +232,10 @@ def test_noise_model_refuses_a_strength_that_is_no_real_in_unit_interval(p):
     "call",
     [
         lambda n: mitigate_renyi(0.5, 0.1, n, 2),
-        lambda n: mitigate_tsallis(0.2, 0.1, n, 2),
         lambda n: relative_error_study([random_clifford_circuit(2, 2, np.random.default_rng(0))],
                                        NoiseKind.DEPHASING, [0.01], n=n),
     ],
-    ids=["renyi", "tsallis", "study"],
+    ids=["renyi", "study"],
 )
 @pytest.mark.parametrize("n", [1, 0, 2.0, True])
 def test_entropy_mitigation_refuses_a_moment_index_below_two(call, n):
@@ -271,10 +258,9 @@ def test_mitigate_moment_refuses_a_moment_index_below_one(n):
     [
         lambda nq: mitigate_moment(0.5, 0.1, 2, nq),
         lambda nq: mitigate_renyi(0.5, 0.1, 2, nq),
-        lambda nq: mitigate_tsallis(0.2, 0.1, 2, nq),
         lambda nq: estimate_p_from_purity(0.9, nq),
     ],
-    ids=["moment", "renyi", "tsallis", "purity"],
+    ids=["moment", "renyi", "purity"],
 )
 @pytest.mark.parametrize("n_qubits", [-1, 0, 1.5, 2.5, 2.0, True])
 def test_mitigation_refuses_a_register_size_that_is_no_count(call, n_qubits):

@@ -26,12 +26,12 @@ from magic_meter.oracles import (
     pauli_moment,
     renyi_stabilizer_entropy,
     stabilizer_fidelity,
-    tsallis_monotonicity_gap,
     tsallis_stabilizer_entropy,
     von_neumann_stabilizer_entropy,
 )
 from magic_meter.paulis import expectation, pauli_from_index, pauli_from_string
 from magic_meter.states import choi_state, haar_random_state, n_qubits_of, t_state, zero_state
+from references import commutes
 
 RNG = np.random.default_rng(20)
 
@@ -328,8 +328,6 @@ def test_bell_magic_values():
 
 
 def test_bell_magic_brute_force_cross_check():
-    from magic_meter.paulis import commutes
-
     rng = np.random.default_rng(9)
     psi = haar_random_state(2, rng)
     p = bell_distribution(psi, psi)
@@ -355,32 +353,6 @@ def test_bell_magic_stabilizer_zero_and_clifford_invariance():
     assert bell_magic(apply_circuit(circ, psi))[0] == pytest.approx(
         bell_magic(psi)[0], abs=1e-9
     )
-
-
-def test_tsallis_monotonicity_gap_values():
-    assert tsallis_monotonicity_gap(zero_state(3), [1, 2], 2) == pytest.approx(0.0, abs=1e-12)
-    tt = np.kron(t_state(), t_state())
-    gap = tsallis_monotonicity_gap(tt, [2], 2)
-    expected = tsallis_stabilizer_entropy(tt, 2) - tsallis_stabilizer_entropy(t_state(), 2)
-    assert gap == pytest.approx(expected, abs=1e-10)
-    assert gap == pytest.approx(7 / 16 - 1 / 4, abs=1e-10)
-
-
-def test_tsallis_monotonicity_random_sweep():
-    rng = np.random.default_rng(11)
-    worst = np.inf
-    for _ in range(100):
-        nq = int(rng.integers(2, 5))
-        psi = haar_random_state(nq, rng)
-        k = int(rng.integers(1, nq))
-        subset = list(rng.choice(np.arange(1, nq + 1), size=k, replace=False))
-        worst = min(worst, tsallis_monotonicity_gap(psi, subset, 2))
-    assert worst >= -1e-9
-
-
-def test_tsallis_monotonicity_gap_errors():
-    with pytest.raises(ValueError):
-        tsallis_monotonicity_gap(zero_state(2), [], 2)
 
 
 # -- state validation ---------------------------------------------------------
@@ -409,10 +381,15 @@ def test_pauli_moment_refuses_a_non_hermitian_or_non_positive_matrix():
     [([2, 0], "norm 2"), ([np.nan, 0], "non-finite"), (np.eye(2) / 2, r"shape \(2, 2\)")],
     ids=["unnormalized", "nan", "mixed"],
 )
-@pytest.mark.parametrize("oracle", [stabilizer_fidelity, d_min])
-def test_stabilizer_fidelity_refuses_an_invalid_state(oracle, state, defect):
-    # unchecked, [2, 0] gave F_STAB = 4.0 and D_min = -1.386, and the maximally
-    # mixed qubit gave 0.25 where max <phi|rho|phi> is 0.5
+@pytest.mark.parametrize(
+    "oracle",
+    [stabilizer_fidelity, d_min, flatness, lambda s: participation_entropy(s, 2)],
+    ids=["fstab", "d_min", "flatness", "participation"],
+)
+def test_statevector_oracles_refuse_an_invalid_state(oracle, state, defect):
+    # unchecked, [2, 0] gave F_STAB = 4.0 and D_min = -1.386; the maximally
+    # mixed qubit gave F_STAB 0.25 where max <phi|rho|phi> is 0.5, and the
+    # density matrix of |T> gave I_2 = 0.25 where its statevector gives 0.5
     with pytest.raises(ValueError, match=defect):
         oracle(np.array(state))
 

@@ -1,16 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from magic_meter.paulis import (
     all_expectations,
-    commutes,
     expectation,
     pauli_from_bits,
     pauli_from_index,
     pauli_from_string,
     pauli_spectrum,
 )
-from magic_meter.states import haar_random_state, random_density_matrix, t_state, zero_state
+from magic_meter.states import haar_random_state, t_state, zero_state
+from references import commutes, random_density_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -32,13 +34,22 @@ def test_bit_pair_convention():
     assert np.allclose(pauli_from_bits([0, 1]).to_matrix(), X)
 
 
-def test_from_bits_rejects_bad_input():
-    with pytest.raises(ValueError):
-        pauli_from_bits([0, 1, 0])
-    with pytest.raises(ValueError):
-        pauli_from_bits([])
-    with pytest.raises(ValueError):
-        pauli_from_bits([0, 2])
+@pytest.mark.parametrize(
+    "bits, defect",
+    [
+        ([0, 1, 0], "even length"),
+        ([], "even length"),
+        ([0, 2], "got 2"),
+        # cast to int before the check, these once gave Z and X
+        ([1, 0.5], "got 0.5"),
+        ([0.7, 1], "got 0.7"),
+        ([1.0, 0], "got 1.0"),
+        ([True, 0], "got True"),
+    ],
+)
+def test_from_bits_rejects_bad_input(bits, defect):
+    with pytest.raises(ValueError, match=re.escape(defect)):
+        pauli_from_bits(bits)
 
 
 def test_string_roundtrip_and_index():
@@ -190,7 +201,7 @@ def test_spectrum_normalization_random_states():
     for _ in range(200):
         nq = int(rng.integers(1, 6))
         spec = pauli_spectrum(haar_random_state(nq, rng))
-        assert spec.total() == pytest.approx(1.0, abs=1e-9)
+        assert spec.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(spec.probabilities >= 0)
 
 

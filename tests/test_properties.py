@@ -1,11 +1,14 @@
-"""Property tests of the Bell distributions and the Pauli-spectrum moments.
+"""Property tests of the Bell distributions, the Pauli-spectrum moments and
+the Tsallis entropy.
 
 The mixed-state Bell distribution is the symplectic Fourier transform of the
 product of two Pauli spectra.  Its reference below is the literal mixture:
 the pure-state Bell circuit run on every pair of eigenvectors, weighted by
 the product of their eigenvalues.  The moments A_n are checked against the
 paper's invariants: Clifford invariance, the bounds 2^-N <= A_n <= 1, and
-the global-depolarizing map that mitigate_moment inverts.
+the global-depolarizing map that mitigate_moment inverts.  The Tsallis
+entropy T_2 does not grow on average under a computational-basis
+measurement of some qubits.
 """
 import numpy as np
 import pytest
@@ -15,9 +18,10 @@ from hypothesis import strategies as st
 from magic_meter.circuits import apply_circuit, random_clifford_circuit
 from magic_meter.estimators import bell_distribution
 from magic_meter.noise import NoiseKind, NoiseModel, apply_channel, mitigate_moment
-from magic_meter.oracles import pauli_moment
+from magic_meter.oracles import pauli_moment, tsallis_stabilizer_entropy
 from magic_meter.paulis import all_expectations
-from magic_meter.states import density_of, haar_random_state, random_density_matrix
+from magic_meter.states import density_of, haar_random_state, t_state, zero_state
+from references import random_density_matrix, tsallis_monotonicity_gap
 
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
 
@@ -126,3 +130,24 @@ def test_mitigate_moment_inverts_global_depolarizing(n, seed, index, p):
     assert mitigate_moment(pauli_moment(rho, index), p, index, n) == pytest.approx(
         pauli_moment(psi, index), abs=1e-9
     )
+
+
+def test_tsallis_monotonicity_gap_values():
+    assert tsallis_monotonicity_gap(zero_state(3), [1, 2], 2) == pytest.approx(0.0, abs=1e-12)
+    tt = np.kron(t_state(), t_state())
+    gap = tsallis_monotonicity_gap(tt, [2], 2)
+    expected = tsallis_stabilizer_entropy(tt, 2) - tsallis_stabilizer_entropy(t_state(), 2)
+    assert gap == pytest.approx(expected, abs=1e-10)
+    assert gap == pytest.approx(7 / 16 - 1 / 4, abs=1e-10)
+
+
+def test_tsallis_monotonicity_random_sweep():
+    rng = np.random.default_rng(11)
+    worst = np.inf
+    for _ in range(100):
+        nq = int(rng.integers(2, 5))
+        psi = haar_random_state(nq, rng)
+        k = int(rng.integers(1, nq))
+        subset = list(rng.choice(np.arange(1, nq + 1), size=k, replace=False))
+        worst = min(worst, tsallis_monotonicity_gap(psi, subset, 2))
+    assert worst >= -1e-9
