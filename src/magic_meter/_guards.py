@@ -1,6 +1,6 @@
 """Argument guards: every size limit of the brute-force kernels and the one
 check that enforces them before anything large is allocated, the one integer
-check and the finite-real predicate."""
+rule and its check, and the finite-real predicate."""
 from __future__ import annotations
 
 import math
@@ -24,10 +24,16 @@ def check_capacity(value: int, limit: int, what: str) -> None:
         raise CapacityError(f"{what}: {value} requested, guarded to {limit}")
 
 
+def is_integer(value) -> bool:
+    """The one integer rule: an integral number, numpy's included; a bool or
+    an integral float such as 3.0 is no integer."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_integer(value, name: str, least: int, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming ``name`` unless value is an integer of at least
-    ``least``; a bool or an integral float such as 3.0 is no integer."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+    """Raise ``error`` naming ``name`` unless value is an integer
+    (``is_integer``) of at least ``least``."""
+    if not (is_integer(value) and value >= least):
         raise error(f"{name} must be an integer of at least {least}, got {value!r}")
 
 

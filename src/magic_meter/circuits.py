@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._guards import STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity, check_integer
+from ._guards import STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity, check_integer, is_integer
 from .paulis import PauliString, apply_pauli, pauli_from_string
 from .states import zero_state
 
@@ -94,7 +94,7 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if type(self.n_qubits) is not int or self.n_qubits < 1:
+        if not is_integer(self.n_qubits) or self.n_qubits < 1:
             raise ValueError(f"a circuit needs an integer of at least 1 qubit, got {self.n_qubits!r}")
         for g in self.gates:
             _validate_gate(g, self.n_qubits)
@@ -132,6 +132,25 @@ def _support(axis: PauliString) -> tuple[int, ...]:
 
 
 def _validate_gate(g: Gate, n: int) -> None:
+    """Check a gate against its _GATES entry; a gate without an angle or an
+    axis (H, S, T, C1, CNOT) is checked once per width and operand types."""
+    if g.angle is None and g.axis is None and type(g.qubits) is tuple:
+        _validate_fixed_gate(g, n, type(g.clifford_index), *map(type, g.qubits))
+    else:
+        _check_gate(g, n)
+
+
+# room for every fixed gate of a few registers up to the statevector guard
+@lru_cache(maxsize=4096)
+def _validate_fixed_gate(g: Gate, n: int, *operand_types: type) -> None:
+    """``_check_gate`` of a gate that holds no float and no Pauli axis,
+    remembered once it passes.  The operand types are part of the key,
+    because a bool or an integral float equals and hashes like its integer
+    twin and must still be refused."""
+    _check_gate(g, n)
+
+
+def _check_gate(g: Gate, n: int) -> None:
     """Check a gate against its _GATES entry: a finite angle, an axis and a
     Clifford index in [0, 24) exactly where the entry has one, and distinct
     integer qubits in [1, n], one per qubit operand or the support of the
@@ -142,7 +161,7 @@ def _validate_gate(g: Gate, n: int) -> None:
             raise ValueError(f"{g.name} {'needs an' if value is None else 'takes no'} {kind}")
     if g.angle is not None and not math.isfinite(g.angle):
         raise ValueError(f"{g.name} angle {g.angle!r} is not finite")
-    if g.clifford_index is not None and not (type(g.clifford_index) is int and 0 <= g.clifford_index < 24):
+    if g.clifford_index is not None and not (is_integer(g.clifford_index) and 0 <= g.clifford_index < 24):
         raise ValueError(f"{g.name} index {g.clifford_index!r} is not an integer in [0, 24)")
     if g.axis is not None and (g.axis.n_qubits != n or g.axis.is_identity or g.qubits != _support(g.axis)):
         raise ValueError(f"{g.name} needs a nonidentity {n}-qubit axis whose support is its qubits, "
@@ -150,7 +169,7 @@ def _validate_gate(g: Gate, n: int) -> None:
     if g.axis is None and len(g.qubits) != kinds.count("qubit"):
         raise ValueError(f"{g.name} takes {kinds.count('qubit')} qubit(s), got {list(g.qubits)}")
     for q in g.qubits:
-        if type(q) is not int or not 1 <= q <= n:
+        if not is_integer(q) or not 1 <= q <= n:
             raise ValueError(f"gate {g.name} qubit {q!r} is not an integer in [1, {n}]")
     if len(set(g.qubits)) != len(g.qubits):
         raise ValueError(f"{g.name} needs distinct qubits, got {list(g.qubits)}")
@@ -295,7 +314,17 @@ def doped_layered_gate_layers(n_qubits: int, depth: int, n_tgates: int, rng) -> 
     rng = np.random.default_rng(rng)
     slots = rng.integers(0, depth * n_qubits, size=n_tgates)
     t_counts = np.bincount(slots, minlength=depth * n_qubits).tolist()
-    return _layered_gate_layers(n_qubits, depth, lambda q: [gate_clifford(q, int(rng.integers(24)))], t_counts)
+    # one draw for every (layer, qubit) slot, in the order the layers use them
+    picks = iter(rng.integers(24, size=depth * n_qubits).tolist())
+    cliffords = _clifford_gates(n_qubits)
+    return _layered_gate_layers(n_qubits, depth, lambda q: [cliffords[q - 1][next(picks)]], t_counts)
+
+
+@lru_cache(maxsize=STATEVECTOR_QUBIT_GUARD)
+def _clifford_gates(n_qubits: int) -> tuple[tuple[Gate, ...], ...]:
+    """The 24 ``gate_clifford`` gates of each qubit q at row q - 1, built once
+    per width."""
+    return tuple(tuple(gate_clifford(q, i) for i in range(24)) for q in range(1, n_qubits + 1))
 
 
 def doped_layered_circuit(n_qubits: int, depth: int, n_tgates: int, rng) -> Circuit:

@@ -285,7 +285,9 @@ def estimate_participation(
 
 def estimate_flatness(state: np.ndarray, shots: int, rng, seed: int | None = None) -> EstimatorResult:
     """Multifractal flatness I_3 - I_2^2 from two participation estimators on
-    split shot budgets, with the delta-method standard error."""
+    split shot budgets, with the delta-method standard error.  The whole
+    budget is checked: at least 6 shots, so that the I_3 half holds a group."""
+    check_integer(shots, "shots", 6)
     rng = np.random.default_rng(rng)
     i3 = estimate_participation(state, 3, shots // 2, rng)
     i2 = estimate_participation(state, 2, shots - shots // 2, rng)

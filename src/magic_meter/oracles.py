@@ -125,9 +125,10 @@ def otoc(u, sigma: PauliString, sigma_prime: PauliString, n: int) -> float:
     nq = n_qubits_of(mat)
     if sigma.n_qubits != nq or sigma_prime.n_qubits != nq:
         raise ValueError("Pauli width differs from unitary width")
-    left = np.stack([apply_pauli(sigma, col) for col in mat.T], axis=1)  # sigma U
-    right = np.stack([apply_pauli(sigma_prime, col) for col in mat.conj()], axis=1)  # sigma' U^dag
-    val = np.trace(left @ right)
+    # rows of (sigma U)^T and (sigma' U^dag)^T; tr(A B) = sum A^T o B
+    left = np.array([apply_pauli(sigma, col) for col in mat.T])
+    right = np.array([apply_pauli(sigma_prime, col) for col in mat.conj()])
+    val = np.sum(left * right.T)
     return float((val.real / 2**nq) ** (2 * n))
 
 

@@ -7,14 +7,13 @@ i^{|z & x|} X^x Z^z, i.e. the Hermitian representative with sign +1.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._bits import deinterleave_index, interleave_zx, popcount, wht
-from ._guards import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity, check_integer
+from ._guards import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity, check_integer, is_integer
 from .states import n_qubits_of, validate_state
 
 _CHAR_TO_PAIR = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
@@ -98,7 +97,7 @@ def pauli_from_bits(bits) -> PauliString:
     if arr.size == 0 or arr.size % 2:
         raise ValueError("bit vector must have positive even length")
     for b in arr:
-        if isinstance(b, bool) or not (isinstance(b, numbers.Integral) and b in (0, 1)):
+        if not (is_integer(b) and b in (0, 1)):
             raise ValueError(f"bits must be the integers 0 or 1, got {b!r}")
     n = arr.size // 2
     z = int("".join(str(b) for b in arr[0::2]), 2)
@@ -171,6 +170,42 @@ def _half_rows(n: int) -> tuple[np.ndarray, ...]:
     return rows
 
 
+# Widest register of the one-pass kernel.  Beyond it the block loop is as fast
+# or faster (9 and 10 qubits, one BLAS thread), and no tables are held.
+_ONE_PASS_QUBITS = 8
+
+
+@lru_cache(maxsize=_ONE_PASS_QUBITS)
+def _one_pass_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the one-pass kernel at width n, built on first use:
+    the X-mask column, the kept basis indices k of each row, c = |k & x| mod 4
+    and the gather from the transformed half rows to the interleaved output.
+
+    Row x < 2^N keeps the k whose bit b(x), the top set bit of x, is clear
+    (b(0) = 0, so row 0 holds the even k); one more row, again of mask 0,
+    holds the odd k for the mask-0 packing.  The transformed rows, viewed as
+    floats, hold (Re, Im) of W'[x, z'] at 2^N x + 2 z' + (0, 1), and output
+    index (z, x) reads the part set by bit b(x) of z at the z' that is z less
+    that bit.
+    """
+    dim = 1 << n
+    x = np.arange(dim)
+    top = np.array([max(v.bit_length() - 1, 0) for v in range(dim)])  # b(x)
+    kept = np.stack(_half_rows(n))[top]
+    kept = np.vstack([kept, kept[:1] | 1])
+    xs = np.append(x, 0)[:, None]
+    c = (np.bitwise_count(kept[:dim] & xs[:dim]) & 3).astype(np.uint8)
+    z = x[:, None]  # source index of output (z, x): one row per z, one column per x
+    bit = (z >> top) & 1
+    low = (1 << top) - 1
+    packed = ((z >> (top + 1)) << top) | (z & low)  # z' = z less bit b(x)
+    gather = np.empty(4**n, dtype=np.int32)
+    gather[interleave_zx(z, x, n)] = x * dim + 2 * packed + bit
+    for table in (xs, kept, c, gather):
+        table.flags.writeable = False
+    return xs, kept, c, gather
+
+
 def _pauli_transform(n: int, rows) -> np.ndarray:
     """The one Pauli-transform kernel over all 4^N strings sigma = (z, x).
 
@@ -186,13 +221,32 @@ def _pauli_transform(n: int, rows) -> np.ndarray:
     f0 = f[0, k] and f1 = f[0, k | 1] packed into h = ((f0 + f1) - i(f0 - f1)) / 2,
     which the same two formulas unpack.
 
-    One Walsh-Hadamard transform takes each chunk of X-masks.  The masks of
-    a chunk that share their top bit are one aligned block, filled by one
-    ``rows`` call and written through a strided (x bits, z bits) view of the
-    output: reshaped to one axis per index bit, the interleaved index holds
-    qubit j's z bit on axis 2j - 2 and its x bit on axis 2j - 1, so the block
-    is the part of that view whose leading x bits are the block's, and no
-    index array is built.
+    Up to _ONE_PASS_QUBITS every mask fits one Walsh-Hadamard transform, and
+    one ``rows`` call, one phase product, one conjugation (so the imaginary
+    parts come out negated) and one gather through cached tables finish it.
+    Wider registers take ``_block_transform``.
+    """
+    if n > _ONE_PASS_QUBITS:
+        return _block_transform(n, rows)
+    dim = 1 << n
+    xs, kept, c, gather = _one_pass_tables(n)
+    half = rows(xs, kept)
+    f0, f1 = half[0].real, half[dim].real
+    half[0] = ((f0 + f1) - 1j * (f0 - f1)) / 2
+    vals = wht(half[:dim])
+    vals *= _TWICE_I_POWERS.take(c)
+    np.conjugate(vals, out=vals)
+    return vals.view(float).reshape(-1).take(gather)
+
+
+def _block_transform(n: int, rows) -> np.ndarray:
+    """``_pauli_transform`` in chunks of _CHUNK X-masks, one Walsh-Hadamard
+    transform per chunk.  The masks of a chunk that share their top bit are
+    one aligned block, filled by one ``rows`` call and written through a
+    strided (x bits, z bits) view of the output: reshaped to one axis per
+    index bit, the interleaved index holds qubit j's z bit on axis 2j - 2 and
+    its x bit on axis 2j - 1, so the block is the part of that view whose
+    leading x bits are the block's, and no index array is built.
     """
     dim = 1 << n
     out = np.empty(4**n)
@@ -244,16 +298,22 @@ def all_expectations(state: np.ndarray) -> np.ndarray:
     else:
         check_capacity(n, DENSITY_QUBIT_GUARD, "qubits in a density-matrix Pauli spectrum")
     validate_state(state)
-    if state.ndim == 1:
-        conj = state.conj()
+    return _pauli_transform(n, _state_rows(state))
 
-        def rows(x, k):
-            block = conj[k ^ x]
-            block *= state[k]
-            return block
 
-        return _pauli_transform(n, rows)
-    return _pauli_transform(n, lambda x, k: state[k, k ^ x])
+def _state_rows(state: np.ndarray):
+    """The ``rows`` of a state's Pauli transform: conj(psi_{k^x}) psi_k for a
+    statevector, rho[k, k^x] for a density matrix."""
+    if state.ndim == 2:
+        return lambda x, k: state[k, k ^ x]
+    conj = state.conj()
+
+    def rows(x, k):
+        block = conj[k ^ x]
+        block *= state[k]
+        return block
+
+    return rows
 
 
 class PauliSpectrum:
@@ -271,7 +331,7 @@ class PauliSpectrum:
                 raise ValueError(f"Pauli string {sigma} has {sigma.n_qubits} qubits, the spectrum {self.n_qubits}")
             return float(self.probabilities[sigma.index])
         size = len(self.probabilities)
-        if isinstance(sigma, bool) or not (isinstance(sigma, numbers.Integral) and 0 <= sigma < size):
+        if not (is_integer(sigma) and 0 <= sigma < size):
             raise ValueError(f"Pauli index must be an integer in [0, {size}), got {sigma!r}")
         return float(self.probabilities[sigma])
 

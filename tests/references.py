@@ -3,6 +3,7 @@ from the library as independent cross-checks."""
 import numpy as np
 
 from magic_meter._bits import interleave_zx, popcount, wht
+from magic_meter.circuits import gate_clifford, gate_cnot, gate_t
 from magic_meter.oracles import tsallis_stabilizer_entropy
 from magic_meter.paulis import PauliString
 from magic_meter.states import n_qubits_of
@@ -23,6 +24,23 @@ def reference_pauli_transform(n, rows, finish):
         vals = I_POWERS[popcount(k & xs) & 3] * wht(rows(xs, k))
         out[interleave_zx(k, xs, n).ravel()] = finish(vals).ravel()
     return out
+
+
+def scalar_draw_doped_layers(n_qubits, depth, n_tgates, rng):
+    """The layers of ``doped_layered_gate_layers`` drawn one Clifford index at
+    a time: the T slots first, then one ``int(rng.integers(24))`` per (layer,
+    qubit) slot in layer order, each followed by its T gates, and the CNOT
+    chain (q + 1, q) closing every layer."""
+    slots = rng.integers(0, depth * n_qubits, size=n_tgates)
+    counts = np.bincount(slots, minlength=depth * n_qubits)
+    layers = []
+    for layer in range(depth):
+        gates = []
+        for q in range(1, n_qubits + 1):
+            gates.append(gate_clifford(q, int(rng.integers(24))))
+            gates += [gate_t(q)] * int(counts[layer * n_qubits + q - 1])
+        layers.append(gates + [gate_cnot(q + 1, q) for q in range(1, n_qubits)])
+    return layers
 
 
 def commutes(sigma: PauliString, tau: PauliString) -> bool:

@@ -11,6 +11,7 @@ from magic_meter.circuits import (
     Circuit,
     CircuitParseError,
     Gate,
+    _validate_fixed_gate,
     apply_circuit,
     circuit_from_json,
     circuit_from_text,
@@ -20,8 +21,10 @@ from magic_meter.circuits import (
     doped_clifford_state,
     doped_layered_circuit,
     doped_layered_gate_layers,
+    gate_clifford,
     gate_cnot,
     gate_h,
+    gate_ry,
     gate_rz,
     gate_t,
     load_circuit,
@@ -33,7 +36,7 @@ from magic_meter.cli import main
 from magic_meter.oracles import pauli_moment
 from magic_meter.paulis import expectation, pauli_from_index, pauli_from_string
 from magic_meter.states import choi_state, haar_random_state, t_state
-from references import conjugate_state, maximally_entangled_state
+from references import conjugate_state, maximally_entangled_state, scalar_draw_doped_layers
 
 
 def test_single_qubit_clifford_table():
@@ -101,6 +104,41 @@ def test_gate_validation():
         Circuit(2, (Gate("ROT", (), angle=0.3, axis=pauli_from_string("II")),))
     with pytest.raises(ValueError, match="at least 1 qubit"):
         Circuit(0, ())
+
+
+def test_circuits_take_numpy_integers():
+    got = Circuit(np.int64(2), (gate_h(np.int64(1)), gate_clifford(np.int32(2), np.int64(5)), gate_cnot(np.int64(1), 2)))
+    twin = Circuit(2, (gate_h(1), gate_clifford(2, 5), gate_cnot(1, 2)))
+    assert got == twin and hash(got) == hash(twin)
+    np.testing.assert_array_equal(circuit_unitary(got), circuit_unitary(twin))
+
+
+def test_validation_memo_keeps_only_gates_without_an_angle_or_an_axis():
+    _validate_fixed_gate.cache_clear()
+    rotations = (gate_rz(1, 0.3), gate_ry(2, 0.1), Gate("RX", (1,), angle=0.2))
+    Circuit(2, rotations + (Gate("ROT", (1, 2), angle=0.4, axis=pauli_from_string("XZ")),))
+    assert _validate_fixed_gate.cache_info().currsize == 0
+    with pytest.raises(ValueError, match="qubit 3"):
+        Circuit(2, (gate_h(3),))
+    assert _validate_fixed_gate.cache_info().currsize == 0  # a refused gate is not kept
+    Circuit(2, (gate_h(1), gate_h(1), gate_clifford(2, 5), gate_cnot(2, 1)))
+    assert _validate_fixed_gate.cache_info().currsize == 3
+    # twins that compare and hash equal to a kept gate are still checked
+    for qubit in (True, 1.0):
+        with pytest.raises(ValueError, match=f"qubit {qubit!r}"):
+            Circuit(2, (gate_h(qubit),))
+    with pytest.raises(ValueError, match="index True"):
+        Circuit(2, (gate_clifford(2, True),))
+
+
+@pytest.mark.parametrize("n, depth, n_tgates", [(3, 7, 5), (1, 13, 2), (4, 40, 16), (5, 1, 0)])
+def test_one_draw_layers_equal_the_scalar_draws(n, depth, n_tgates):
+    # an odd slot count leaves half of a 64-bit draw in the generator
+    rng, reference = np.random.default_rng(19), np.random.default_rng(19)
+    assert doped_layered_gate_layers(n, depth, n_tgates, rng) == scalar_draw_doped_layers(n, depth, n_tgates, reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.integers(24, size=3).tolist() == reference.integers(24, size=3).tolist()
+    assert rng.uniform() == reference.uniform()
 
 
 def test_random_clifford_circuit_structure():

@@ -17,6 +17,7 @@ from magic_meter.cli import _resolve_state
 from magic_meter.estimators import (
     bell_distribution,
     estimate_bell_magic,
+    estimate_flatness,
     estimate_moment_bell,
     estimate_moment_conjugate,
     estimate_moment_gradient,
@@ -153,6 +154,8 @@ _INTEGER_ARGUMENTS = {
     "estimate_bell_magic-repetitions": (lambda v: estimate_bell_magic(t_state(1), v, 0), "repetitions", 1),
     "estimate_participation-q": (lambda v: estimate_participation(t_state(1), v, 10, 0), "q", 2),
     "estimate_participation-shots": (lambda v: estimate_participation(t_state(1), 2, v, 0), "shots", 2),
+    # the whole budget is named, not the half that a participation estimator gets
+    "estimate_flatness-shots": (lambda v: estimate_flatness(t_state(1), v, 0), "shots", 6),
     "random_pauli_hamiltonian-n_terms": (lambda v: random_pauli_hamiltonian(2, v, 0), "n_terms", 1),
     "zero_state-n_qubits": (zero_state, "n_qubits", 1),
     "plus_state-n_qubits": (plus_state, "n_qubits", 1),

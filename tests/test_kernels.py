@@ -23,12 +23,15 @@ and the dense matrix sum in other orders, so they agree to a tolerance of
 
 The Pauli transform reads half of each Hermitian row f[x, k] (the pairs k,
 k ^ x), transforms it and unpacks the real values v[x, z] from the real and
-imaginary parts of the result, writing each block through a strided view of
-its output.  The reference (`references.reference_pauli_transform`)
-transforms every full row, multiplies by the phase i^{|z&x|} and scatters
-through the interleaved index of every (z, x); the two sum in other orders,
-so they agree to 1e-14, not bit for bit.  The
-pure-state Bell distribution is a product of 16 x 16 factors; the reference
+imaginary parts of the result.  Up to 8 qubits it does so in one pass over
+all masks with cached index tables; wider registers take the block loop,
+which writes each block of masks through a strided view of its output.  The
+two paths do the same arithmetic and agree bit for bit (to 1 ulp for a
+1-qubit statevector, see the test).  The reference
+(`references.reference_pauli_transform`) transforms every full row,
+multiplies by the phase i^{|z&x|} and scatters through the interleaved
+index of every (z, x); the two sum in other orders, so they agree to 1e-14,
+not bit for bit.  The pure-state Bell distribution is a product of 16 x 16 factors; the reference
 contracts the 4x4 Bell matrix into each pair axis with `np.tensordot`.
 """
 import gc
@@ -55,6 +58,10 @@ from magic_meter.estimators import bell_distribution
 from magic_meter.noise import NoiseKind, NoiseModel, _kraus_for, apply_channel
 from magic_meter.oracles import pauli_moment
 from magic_meter.paulis import (
+    _ONE_PASS_QUBITS,
+    _block_transform,
+    _pauli_transform,
+    _state_rows,
     all_expectations,
     apply_pauli,
     pauli_from_index,
@@ -352,6 +359,27 @@ def test_all_expectations_matches_the_full_row_reference(state):
     got = all_expectations(state)
     np.testing.assert_array_equal(state, before)
     np.testing.assert_allclose(got, reference_all_expectations(state), rtol=0, atol=1e-14)
+
+
+def _one_pass_inputs():
+    pure = [haar_random_state(n, np.random.default_rng([900, n, s])) for n in range(1, 9) for s in range(3)]
+    return pure + [random_density_matrix(n, np.random.default_rng([901, n, s])) for n in range(1, 7) for s in range(3)]
+
+
+@pytest.mark.parametrize("state", _one_pass_inputs(), ids=lambda s: f"{s.ndim}d-{s.shape[0]}")
+def test_one_pass_transform_equals_the_block_loop(state):
+    n = n_qubits_of(state)
+    assert n <= _ONE_PASS_QUBITS
+    rows = _state_rows(state)
+    got, loop = _pauli_transform(n, rows), _block_transform(n, rows)
+    if state.ndim == 1 and n == 1:
+        # The 1-qubit block loop fills mask 1 from a one-element product, and
+        # numpy's in-place complex multiply of one element rounds without the
+        # fused multiply-add of its array loop, which the one pass uses on
+        # that entry; the two products can differ in the last bit.
+        np.testing.assert_array_max_ulp(got, loop, maxulp=1)
+    else:
+        np.testing.assert_array_equal(got, loop)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
