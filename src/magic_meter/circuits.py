@@ -79,13 +79,38 @@ _GATES: dict[str, tuple[tuple[str, ...], np.ndarray | None]] = {
 @dataclass(frozen=True)
 class Gate:
     """One gate of the _GATES table, carrying the operands its entry names:
-    ``clifford_index`` for an index, and ``angle`` and ``axis`` for theirs."""
+    ``clifford_index`` for an index, and ``angle`` and ``axis`` for theirs.
+    A gate checks itself when it is made: a finite angle, an axis and a
+    Clifford index in [0, 24) exactly where the entry has one, and distinct
+    integer qubits of at least 1, one per qubit operand or the support of the
+    nonidentity axis.  A Circuit checks what needs its width."""
 
     name: str
     qubits: tuple[int, ...]
     angle: float | None = None
     axis: PauliString | None = None
     clifford_index: int | None = None
+
+    def __post_init__(self):
+        kinds = _kinds(self.name)
+        for kind, value in _named(self).items():
+            if (kind in kinds) != (value is not None):
+                raise ValueError(f"{self.name} {'needs an' if value is None else 'takes no'} {kind}")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"{self.name} angle {self.angle!r} is not finite")
+        index = self.clifford_index
+        if index is not None and not (is_integer(index) and 0 <= index < 24):
+            raise ValueError(f"{self.name} index {index!r} is not an integer in [0, 24)")
+        if self.axis is not None and (self.axis.is_identity or self.qubits != _support(self.axis)):
+            raise ValueError(f"{self.name} needs a nonidentity axis whose support is its qubits, "
+                             f"got axis {self.axis} on qubits {list(self.qubits)}")
+        if self.axis is None and len(self.qubits) != kinds.count("qubit"):
+            raise ValueError(f"{self.name} takes {kinds.count('qubit')} qubit(s), got {list(self.qubits)}")
+        for q in self.qubits:
+            if not (is_integer(q) and q >= 1):
+                raise ValueError(f"gate {self.name} qubit {q!r} is not an integer of at least 1")
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ValueError(f"{self.name} needs distinct qubits, got {list(self.qubits)}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +119,14 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not is_integer(self.n_qubits) or self.n_qubits < 1:
-            raise ValueError(f"a circuit needs an integer of at least 1 qubit, got {self.n_qubits!r}")
-        for g in self.gates:
-            _validate_gate(g, self.n_qubits)
+        n = self.n_qubits
+        if not is_integer(n) or n < 1:
+            raise ValueError(f"a circuit needs an integer of at least 1 qubit, got {n!r}")
+        for g in self.gates:  # each gate checked itself when it was made
+            if max(g.qubits) > n:
+                raise ValueError(f"gate {g.name} qubit {max(g.qubits)} is not in [1, {n}]")
+            if g.axis is not None and g.axis.n_qubits != n:
+                raise ValueError(f"{g.name} needs a {n}-qubit axis, got axis {g.axis}")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -129,50 +158,6 @@ def _support(axis: PauliString) -> tuple[int, ...]:
     """The 1-based qubits on which a Pauli string acts nontrivially."""
     n = axis.n_qubits
     return tuple(j + 1 for j in range(n) if ((axis.z | axis.x) >> (n - 1 - j)) & 1)
-
-
-def _validate_gate(g: Gate, n: int) -> None:
-    """Check a gate against its _GATES entry; a gate without an angle or an
-    axis (H, S, T, C1, CNOT) is checked once per width and operand types."""
-    if g.angle is None and g.axis is None and type(g.qubits) is tuple:
-        _validate_fixed_gate(g, n, type(g.clifford_index), *map(type, g.qubits))
-    else:
-        _check_gate(g, n)
-
-
-# room for every fixed gate of a few registers up to the statevector guard
-@lru_cache(maxsize=4096)
-def _validate_fixed_gate(g: Gate, n: int, *operand_types: type) -> None:
-    """``_check_gate`` of a gate that holds no float and no Pauli axis,
-    remembered once it passes.  The operand types are part of the key,
-    because a bool or an integral float equals and hashes like its integer
-    twin and must still be refused."""
-    _check_gate(g, n)
-
-
-def _check_gate(g: Gate, n: int) -> None:
-    """Check a gate against its _GATES entry: a finite angle, an axis and a
-    Clifford index in [0, 24) exactly where the entry has one, and distinct
-    integer qubits in [1, n], one per qubit operand or the support of the
-    full-width axis."""
-    kinds = _kinds(g.name)
-    for kind, value in _named(g).items():
-        if (kind in kinds) != (value is not None):
-            raise ValueError(f"{g.name} {'needs an' if value is None else 'takes no'} {kind}")
-    if g.angle is not None and not math.isfinite(g.angle):
-        raise ValueError(f"{g.name} angle {g.angle!r} is not finite")
-    if g.clifford_index is not None and not (is_integer(g.clifford_index) and 0 <= g.clifford_index < 24):
-        raise ValueError(f"{g.name} index {g.clifford_index!r} is not an integer in [0, 24)")
-    if g.axis is not None and (g.axis.n_qubits != n or g.axis.is_identity or g.qubits != _support(g.axis)):
-        raise ValueError(f"{g.name} needs a nonidentity {n}-qubit axis whose support is its qubits, "
-                         f"got axis {g.axis} on qubits {list(g.qubits)}")
-    if g.axis is None and len(g.qubits) != kinds.count("qubit"):
-        raise ValueError(f"{g.name} takes {kinds.count('qubit')} qubit(s), got {list(g.qubits)}")
-    for q in g.qubits:
-        if not is_integer(q) or not 1 <= q <= n:
-            raise ValueError(f"gate {g.name} qubit {q!r} is not an integer in [1, {n}]")
-    if len(set(g.qubits)) != len(g.qubits):
-        raise ValueError(f"{g.name} needs distinct qubits, got {list(g.qubits)}")
 
 
 def gate_h(q: int) -> Gate:
@@ -322,8 +307,8 @@ def doped_layered_gate_layers(n_qubits: int, depth: int, n_tgates: int, rng) -> 
 
 @lru_cache(maxsize=STATEVECTOR_QUBIT_GUARD)
 def _clifford_gates(n_qubits: int) -> tuple[tuple[Gate, ...], ...]:
-    """The 24 ``gate_clifford`` gates of each qubit q at row q - 1, built once
-    per width."""
+    """The 24 ``gate_clifford`` gates of each qubit q at row q - 1, built, and
+    so checked, once per width."""
     return tuple(tuple(gate_clifford(q, i) for i in range(24)) for q in range(1, n_qubits + 1))
 
 
@@ -366,7 +351,7 @@ def _build_gate(name, operands: list | dict) -> Gate:
     """The gate `name` from its operands, listed in the order of its _GATES
     entry (text form) or keyed by "qubits" (left out or empty: the axis
     support) and each other kind (JSON form).  Values are read from their
-    text, so a JSON float or bool is no integer; Circuit checks the rest."""
+    text, so a JSON float or bool is no integer; the Gate checks the rest."""
     name = str(name).upper()
     kinds = _kinds(name)
     if isinstance(operands, list):

@@ -204,6 +204,8 @@ def _sweep_rows(config: ExperimentConfig, one, names, tail_names) -> list[Record
 def haar_reference(n_qubits: int, n: int, samples: int, rng) -> dict[str, float]:
     """Monte-Carlo mean of the n-th moment and Tsallis entropy of Haar-random
     states, with standard errors."""
+    check_integer(n, "n", 2)
+    check_integer(samples, "samples", 2)
     rng = np.random.default_rng(rng)
     moments = np.array([pauli_moment(haar_random_state(n_qubits, rng), n) for _ in range(samples)])
     tsallis = (moments - 1.0) / (1 - n)

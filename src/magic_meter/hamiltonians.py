@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._guards import UNITARY_QUBIT_GUARD, check_capacity, check_integer
+from ._guards import UNITARY_QUBIT_GUARD, check_capacity, check_integer, finite_real
 from .paulis import PauliString, pauli_from_index, pauli_from_string
 from .states import n_qubits_of
 
@@ -45,6 +45,7 @@ def dense_of(hamiltonian) -> np.ndarray:
 
 def gue_hamiltonian(n_qubits: int, rng) -> np.ndarray:
     """GUE draw scaled by 2^{-N/2} so the spectrum concentrates on [-2, 2]."""
+    check_integer(n_qubits, "n_qubits", 1)
     rng = np.random.default_rng(rng)
     dim = 1 << n_qubits
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -54,6 +55,7 @@ def gue_hamiltonian(n_qubits: int, rng) -> np.ndarray:
 def random_pauli_hamiltonian(n_qubits: int, n_terms: int, rng) -> PauliSum:
     """K distinct nonidentity Pauli strings with Gaussian weights, rescaled to
     unit normalized trace of H^2 (tr(H^2) = 2^N), the GUE energy scale."""
+    check_integer(n_qubits, "n_qubits", 1)
     check_integer(n_terms, "n_terms", 1)
     if n_terms > 4**n_qubits - 1:
         raise ValueError("more terms than nonidentity Pauli strings")
@@ -72,8 +74,11 @@ def ising_hamiltonian(n_qubits: int, delta: float, disorder: float, rng) -> Paul
     """Open-chain XXZ Heisenberg Hamiltonian with random longitudinal fields:
     sum_k (X_k X_{k+1} + Y_k Y_{k+1} + delta Z_k Z_{k+1}) + sum_k h_k Z_k,
     h_k uniform in [-W, W]."""
-    if n_qubits < 2:
-        raise ValueError("chain needs at least two sites")
+    check_integer(n_qubits, "n_qubits", 2)
+    if not finite_real(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
+    if not (finite_real(disorder) and disorder >= 0):
+        raise ValueError(f"disorder must be finite and at least 0, got {disorder!r}")
     rng = np.random.default_rng(rng)
     fields = rng.uniform(-disorder, disorder, size=n_qubits)
 

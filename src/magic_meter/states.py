@@ -100,5 +100,7 @@ def choi_state(unitary: np.ndarray) -> np.ndarray:
     Amplitude on |i>|j> is U[j, i] / sqrt(2^N).
     """
     u = np.asarray(unitary, dtype=complex)
-    n_qubits_of(u)  # validates the shape
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"choi_state needs a square matrix, got shape {u.shape}")
+    n_qubits_of(u)  # validates the dimension
     return (u.T / np.sqrt(u.shape[0])).reshape(-1)

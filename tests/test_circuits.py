@@ -11,7 +11,6 @@ from magic_meter.circuits import (
     Circuit,
     CircuitParseError,
     Gate,
-    _validate_fixed_gate,
     apply_circuit,
     circuit_from_json,
     circuit_from_text,
@@ -96,14 +95,44 @@ def test_rotation_general_axis():
 
 
 def test_gate_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="qubit 3"):
         Circuit(2, (gate_h(3),))
     with pytest.raises(ValueError):
         Circuit(2, (gate_cnot(1, 1),))
     with pytest.raises(ValueError):
         Circuit(2, (Gate("ROT", (), angle=0.3, axis=pauli_from_string("II")),))
+    with pytest.raises(ValueError, match="2-qubit axis"):  # its support fits, its width does not
+        Circuit(2, (Gate("ROT", (1, 2), angle=0.3, axis=pauli_from_string("XZI")),))
     with pytest.raises(ValueError, match="at least 1 qubit"):
         Circuit(0, ())
+
+
+# name -> (arguments of a Gate that is refused when it is made, a word of the error)
+REFUSED_GATES = {
+    "unknown_name": (("WIBBLE", (1,)), "unknown gate"),
+    "missing_index": (("C1", (1,)), "needs an index"),
+    "missing_angle": (("RZ", (1,)), "needs an angle"),
+    "extra_angle": (("H", (1,), 0.3), "takes no angle"),
+    "extra_axis": (("RZ", (1,), 0.3, pauli_from_string("Z")), "takes no axis"),
+    "nan_angle": (("RZ", (1,), float("nan")), "angle nan"),
+    "index_24": (("C1", (1,), None, None, 24), "index 24"),
+    "index_true": (("C1", (1,), None, None, True), "index True"),
+    "qubit_0": (("H", (0,)), "qubit 0"),
+    # twins that compare and hash equal to qubit 1
+    "qubit_true": (("H", (True,)), "qubit True"),
+    "qubit_float": (("H", (1.0,)), "qubit 1.0"),
+    "repeated_qubits": (("CNOT", (2, 2)), "distinct"),
+    "two_qubit_h": (("H", (1, 2)), "H takes 1"),
+    "identity_axis": (("ROT", (), 0.3, pauli_from_string("II")), "nonidentity"),
+    "axis_off_its_qubits": (("ROT", (1,), 0.3, pauli_from_string("IX")), "support"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_GATES))
+def test_a_gate_is_checked_when_it_is_made(case):
+    arguments, word = REFUSED_GATES[case]
+    with pytest.raises(ValueError, match=re.escape(word)):
+        Gate(*arguments)
 
 
 def test_circuits_take_numpy_integers():
@@ -111,24 +140,6 @@ def test_circuits_take_numpy_integers():
     twin = Circuit(2, (gate_h(1), gate_clifford(2, 5), gate_cnot(1, 2)))
     assert got == twin and hash(got) == hash(twin)
     np.testing.assert_array_equal(circuit_unitary(got), circuit_unitary(twin))
-
-
-def test_validation_memo_keeps_only_gates_without_an_angle_or_an_axis():
-    _validate_fixed_gate.cache_clear()
-    rotations = (gate_rz(1, 0.3), gate_ry(2, 0.1), Gate("RX", (1,), angle=0.2))
-    Circuit(2, rotations + (Gate("ROT", (1, 2), angle=0.4, axis=pauli_from_string("XZ")),))
-    assert _validate_fixed_gate.cache_info().currsize == 0
-    with pytest.raises(ValueError, match="qubit 3"):
-        Circuit(2, (gate_h(3),))
-    assert _validate_fixed_gate.cache_info().currsize == 0  # a refused gate is not kept
-    Circuit(2, (gate_h(1), gate_h(1), gate_clifford(2, 5), gate_cnot(2, 1)))
-    assert _validate_fixed_gate.cache_info().currsize == 3
-    # twins that compare and hash equal to a kept gate are still checked
-    for qubit in (True, 1.0):
-        with pytest.raises(ValueError, match=f"qubit {qubit!r}"):
-            Circuit(2, (gate_h(qubit),))
-    with pytest.raises(ValueError, match="index True"):
-        Circuit(2, (gate_clifford(2, True),))
 
 
 @pytest.mark.parametrize("n, depth, n_tgates", [(3, 7, 5), (1, 13, 2), (4, 40, 16), (5, 1, 0)])
@@ -213,6 +224,12 @@ def test_choi_state_identity_and_ricochet():
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
+def test_choi_state_refuses_a_non_square_matrix():
+    # read by its row count alone, a 4 x 2 matrix made an 8-entry "state"
+    with pytest.raises(ValueError, match=re.escape("(4, 2)")):
+        choi_state(np.eye(4)[:, :2])
+
+
 def test_choi_t_gate_moment():
     u = circuit_unitary(Circuit(1, (gate_t(1),)))
     assert pauli_moment(choi_state(u), 2) == pytest.approx(0.75, abs=1e-12)
@@ -251,6 +268,8 @@ def test_text_parse_errors():
         circuit_from_text("qubits 2\nWIBBLE 1\n")
     with pytest.raises(CircuitParseError):
         circuit_from_text("qubits 2\nCNOT 1\n")
+    with pytest.raises(CircuitParseError, match="line 3: C1 index 24"):
+        circuit_from_text("qubits 2\nH 1\nC1 1 24\n")
     with pytest.raises(CircuitParseError, match="at least 1 qubit"):
         circuit_from_text("qubits 0\n")
     with pytest.raises(CircuitParseError, match="at least 1 qubit"):
@@ -315,6 +334,7 @@ MALFORMED_CIRCUITS = {
     ),
     "text_t_with_angle": ("qubits 1\nT 1 0.3\n", "T takes 1"),
     "json_t_with_angle": ('{"n_qubits": 1, "gates": [{"gate": "T", "qubits": [1], "angle": 0.3}]}', "angle"),
+    "text_c1_index_24": ("qubits 2\nH 1\nC1 1 24\n", "line 3"),
 }
 
 

@@ -25,8 +25,14 @@ from magic_meter.estimators import (
     exact_moment_gradient,
     renyi_precision_budget,
 )
-from magic_meter.experiments import ExperimentConfig, _resolve
-from magic_meter.hamiltonians import Evolver, PauliSum, random_pauli_hamiltonian
+from magic_meter.experiments import ExperimentConfig, _resolve, haar_reference
+from magic_meter.hamiltonians import (
+    Evolver,
+    PauliSum,
+    gue_hamiltonian,
+    ising_hamiltonian,
+    random_pauli_hamiltonian,
+)
 from magic_meter.noise import NoiseKind, NoiseModel, noisy_circuit_state
 from magic_meter.oracles import (
     bell_magic,
@@ -157,6 +163,11 @@ _INTEGER_ARGUMENTS = {
     # the whole budget is named, not the half that a participation estimator gets
     "estimate_flatness-shots": (lambda v: estimate_flatness(t_state(1), v, 0), "shots", 6),
     "random_pauli_hamiltonian-n_terms": (lambda v: random_pauli_hamiltonian(2, v, 0), "n_terms", 1),
+    "random_pauli_hamiltonian-n_qubits": (lambda v: random_pauli_hamiltonian(v, 1, 0), "n_qubits", 1),
+    "gue_hamiltonian-n_qubits": (lambda v: gue_hamiltonian(v, 0), "n_qubits", 1),
+    "ising_hamiltonian-n_qubits": (lambda v: ising_hamiltonian(v, 0.2, 1.0, 0), "n_qubits", 2),
+    "haar_reference-n": (lambda v: haar_reference(2, v, 10, 0), "n", 2),
+    "haar_reference-samples": (lambda v: haar_reference(2, 2, v, 0), "samples", 2),
     "zero_state-n_qubits": (zero_state, "n_qubits", 1),
     "plus_state-n_qubits": (plus_state, "n_qubits", 1),
     "t_state-n_qubits": (t_state, "n_qubits", 1),

@@ -45,6 +45,17 @@ def test_random_pauli_single_term():
     assert not sigma.is_identity
 
 
+@pytest.mark.parametrize("delta, disorder, word", [
+    (float("nan"), 1.0, "delta"), (float("inf"), 1.0, "delta"), (True, 1.0, "delta"),
+    (0.2, -1.0, "disorder"), (0.2, float("nan"), "disorder"), (0.2, float("inf"), "disorder"),
+])
+def test_ising_chain_names_a_bad_delta_or_disorder(delta, disorder, word):
+    # unchecked, these leaked numpy's "high - low < 0", an OverflowError or
+    # "coefficients must be finite"
+    with pytest.raises(ValueError, match=f"{word} must be finite"):
+        ising_hamiltonian(3, delta, disorder, np.random.default_rng(0))
+
+
 def test_random_pauli_too_many_terms():
     with pytest.raises(ValueError):
         random_pauli_hamiltonian(1, 4, np.random.default_rng(0))
