@@ -15,43 +15,59 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ._bits import (
+    _SYLVESTER,
+    BLOCK_BYTES,
     deinterleave_index,
-    kron_factors,
-    kron_products,
     popcount,
     spread_bits,
     symplectic_wht,
     xor_convolve,
+    xz_block,
 )
-from ._guards import STATEVECTOR_QUBIT_GUARD, check_capacity, check_integer, finite_real
+from ._guards import STATEVECTOR_QUBIT_GUARD, check_capacity, check_integer, finite_real, is_integer
 from .circuits import Circuit, apply_circuit
 from .paulis import PauliString, all_expectations, expectation
 from .states import n_qubits_of, validate_state
 
-# sqrt(2) U_Bell with U_Bell = (H tensor I) CNOT on one (a_j, b_j) pair: its
-# entries are 0 and +-1 and its top-left entry is 1, so its Kronecker powers
-# are products of 16 x 16 factors (sqrt(2) U_Bell)^{tensor 2}.
-_BELL = kron_factors(
-    np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=float), 2
-)
+def _pure_bell_distribution(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """|U_Bell^{tensor N} (a tensor b)|^2 for two N-qubit statevectors, in
+    chunks of X-masks, without the 2N-qubit register.
 
-
-def _interleave_copies(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Tensor two N-qubit statevectors with qubits interleaved pairwise."""
-    return (a.reshape((2, 1) * n) * b.reshape((1, 2) * n)).reshape(-1)
-
-
-def _bell_rotate(joint: np.ndarray, n: int) -> np.ndarray:
-    """Apply U_Bell on every interleaved pair of a 2N-qubit statevector.
-
-    U_Bell^{tensor N} = 2^{-N/2} (sqrt(2) U_Bell)^{tensor N}, and the integer
-    Kronecker power is applied the way ``wht`` applies its Sylvester factors:
-    one BLAS product per 16 x 16 factor on the float64 view of the register
-    (``_bits.kron_products``).
+    CNOT then H on each (a_j, b_j) pair sends |k>|l> to
+    2^{-N/2} sum_z (-1)^{z.k} |z>|k ^ l>, so the amplitude of outcome (z, x)
+    is 2^{-N/2} W[z, x] with W[z, x] = sum_k (-1)^{z.k} a[k] b[k ^ x]: the
+    Walsh-Hadamard transform over k of the rows a[k] b[k ^ x].  Each chunk
+    gathers them into a reused (k, x) buffer of at most BLOCK_BYTES and
+    transforms its k axis with one Sylvester product per two bits of k,
+    lowest first (the top bit alone when N is odd): the factors H^{tensor 2}
+    and H of ``_SYLVESTER``.  These are the groups and the order in which
+    U_Bell^{tensor 2} factors summed the register, so the probabilities are
+    the register's bit for bit.  |W|^2 / 2^N is written through ``xz_block``.
     """
-    amplitudes = kron_products(joint, _BELL)
-    amplitudes *= 2.0 ** (-n / 2)
-    return amplitudes
+    dim = 1 << n
+    chunk = min(dim, max(1, BLOCK_BYTES // (16 * dim)))
+    free = chunk.bit_length() - 1  # x bits that vary within a chunk
+    table = _SYLVESTER[0]
+    k = np.arange(dim)[:, None]
+    rows, spare = np.empty((2, dim, chunk), dtype=complex)
+    power = np.empty((dim, chunk))
+    dist = np.empty(4**n)
+    for start in range(0, dim, chunk):
+        # indices are in range by construction; mode="wrap" makes no checked copy
+        np.take(b, k ^ np.arange(start, start + chunk), out=rows, mode="wrap")
+        np.multiply(a[:, None], rows, out=rows)  # a first: swapped, numpy's product can round otherwise
+        inner = 2 * chunk  # float64 columns per value of the k bits transformed next
+        for bits in [2] * (n // 2) + [1] * (n % 2):
+            f = 1 << bits
+            np.matmul(table[:f, :f], rows.view(float).reshape(-1, f, inner), out=spare.view(float).reshape(-1, f, inner))
+            rows, spare = spare, rows
+            inner *= f
+        rows *= 2.0 ** (-n / 2)
+        np.abs(rows, out=power)
+        np.square(power, out=power)
+        target = xz_block(dist, n, start, chunk)
+        target[...] = power.reshape((2,) * (n + free)).transpose([*range(n, n + free), *range(n)])
+    return dist
 
 
 def bell_distribution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,16 +88,24 @@ def bell_distribution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         check_capacity(n, STATEVECTOR_QUBIT_GUARD, "qubits per copy in a Bell register")
         validate_state(a)
         validate_state(b)
-        dist = np.abs(_bell_rotate(_interleave_copies(a, b, n), n))
-        return np.square(dist, out=dist)
+        return _pure_bell_distribution(a, b, n)
     dist = symplectic_wht(all_expectations(a.T) * all_expectations(b), n) / 4**n
     return np.maximum(dist, 0.0)  # zero probabilities can round to -1e-18
 
 
 def sample_bell(dist: np.ndarray, size, rng) -> np.ndarray:
-    """Draw outcome indices from a Bell distribution."""
+    """Draw outcome indices from a Bell distribution: finite, nonnegative
+    weights with a positive sum, normalized here.  ``size`` is a count or a
+    shape of nonnegative integers.  Raises ``ValueError`` naming the defect."""
+    if not all(is_integer(s) and s >= 0 for s in np.atleast_1d(size).tolist()):
+        raise ValueError(f"sample size must be a nonnegative count or shape, got {size!r}")
+    lowest, total = float(np.min(dist, initial=0.0)), float(dist.sum())
+    if not lowest >= 0:  # NaN fails too
+        raise ValueError(f"a Bell distribution needs finite, nonnegative entries, got the entry {lowest!r}")
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"a Bell distribution needs a finite, positive sum, got {total!r}")
     rng = np.random.default_rng(rng)
-    return rng.choice(dist.shape[0], size=size, p=dist / dist.sum())
+    return rng.choice(dist.shape[0], size=size, p=dist / total)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._bits import symplectic_wht, wht
+from ._bits import BLOCK_BYTES, symplectic_wht, wht
 from ._guards import BELL_MAGIC_QUBIT_GUARD, GAMMA_COPY_GUARD, STABILIZER_ENUM_GUARD, check_capacity
 from ._guards import check_integer, finite_real
 from .circuits import Circuit, apply_gate, circuit_unitary, gate_cnot, gate_h, gate_s, orbit
@@ -28,7 +28,8 @@ def pauli_moment(state: np.ndarray, n) -> float:
 
     Accepts statevectors and density matrices and any real n > 0 (the sum
     uses |<sigma>|^{2n}).  For integer n the power is n - 1 products of
-    <sigma>^2, far cheaper than a float power.
+    <sigma>^2, far cheaper than a float power, formed in place in blocks of
+    at most BLOCK_BYTES.
     """
     state = np.asarray(state)
     nq = n_qubits_of(state)
@@ -36,11 +37,13 @@ def pauli_moment(state: np.ndarray, n) -> float:
         raise ValueError(f"moment index n must be finite and positive, got {n!r}")
     values = all_expectations(state)
     if n == int(n):
-        sq = np.multiply(values, values, out=values)
-        power = sq if n == 1 else sq * sq
-        for _ in range(int(n) - 2):
-            power *= sq
-        return float(np.sum(power) / 2**nq)
+        step = BLOCK_BYTES // values.itemsize
+        for start in range(0, values.size, step):
+            block = values[start : start + step]
+            sq = np.multiply(block, block, out=block).copy()
+            for _ in range(int(n) - 1):
+                block *= sq
+        return float(np.sum(values) / 2**nq)
     if n >= 1:
         return float(np.sum(np.abs(values) ** (2 * n)) / 2**nq)
     nonzero = np.abs(values[np.abs(values) > 1e-16])  # 0^{2n} = 0 for fractional n too

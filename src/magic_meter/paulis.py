@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._bits import deinterleave_index, interleave_zx, popcount, wht
+from ._bits import BLOCK_BYTES, deinterleave_index, interleave_zx, popcount, wht, xz_block
 from ._guards import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity, check_integer, is_integer
 from .states import n_qubits_of, validate_state
 
@@ -243,43 +243,42 @@ def _pauli_transform(n: int, rows) -> np.ndarray:
 
 
 def _block_transform(n: int, rows) -> np.ndarray:
-    """``_pauli_transform`` in chunks of _CHUNK X-masks, one Walsh-Hadamard
-    transform per chunk.  The masks of a chunk that share their top bit are
-    one aligned block, filled by one ``rows`` call and written through a
-    strided (x bits, z bits) view of the output: reshaped to one axis per
-    index bit, the interleaved index holds qubit j's z bit on axis 2j - 2 and
-    its x bit on axis 2j - 1, so the block is the part of that view whose
-    leading x bits are the block's, and no index array is built.
+    """``_pauli_transform`` in chunks of _CHUNK X-masks, one in-place
+    Walsh-Hadamard transform per chunk of one reused buffer.  A chunk is
+    split into aligned blocks of masks that share their top bit and hold at
+    most BLOCK_BYTES of half rows.  Each block is filled by one ``rows`` call,
+    then, after the transform, takes its phase and is written through
+    ``xz_block``, so no scratch is larger than the chunk buffer.
     """
     dim = 1 << n
     out = np.empty(4**n)
-    by_xz = out.reshape((2,) * (2 * n)).transpose([*range(1, 2 * n, 2), *range(0, 2 * n, 2)])
     kept = _half_rows(n)
     chunk = min(_CHUNK, dim)
+    step = max(1, BLOCK_BYTES // (8 * dim))  # masks per block: a half row is 8 dim bytes
+    half = np.empty((chunk, dim >> 1), dtype=complex)
     for start in range(0, dim, chunk):
         # (first mask, mask count, top bit b) of each block; mask 0 pairs on bit 0
         if start:
-            blocks = [(start, chunk, start.bit_length() - 1)]
+            spans = [(start, chunk, start.bit_length() - 1)]
         else:
-            blocks = [(0, 1, 0)] + [(1 << b, 1 << b, b) for b in range(chunk.bit_length() - 1)]
+            spans = [(0, 1, 0)] + [(1 << b, 1 << b, b) for b in range(chunk.bit_length() - 1)]
+        blocks = [(first + s, min(step, count), b) for first, count, b in spans for s in range(0, count, step)]
         masks = [np.arange(first, first + count)[:, None] for first, count, _ in blocks]
-        half = np.empty((chunk, dim >> 1), dtype=complex)
         for (first, count, b), xs in zip(blocks, masks):
             if first:
                 half[first - start : first - start + count] = rows(xs, kept[b])
             else:
                 f0, f1 = rows(xs, np.stack([kept[0], kept[0] | 1])).real
                 half[0] = ((f0 + f1) - 1j * (f0 - f1)) / 2
-        vals = wht(half)
+        wht(half, out=half)
         for (first, count, b), xs in zip(blocks, masks):
-            block = vals[first - start : first - start + count]
+            block = half[first - start : first - start + count]
             block *= _TWICE_I_POWERS.take(np.bitwise_count(kept[b] & xs) & 3)
-            free = count.bit_length() - 1  # x bits that vary within the block
-            block = block.reshape((2,) * (free + n - 1))
-            lead = tuple((first >> (n - 1 - j)) & 1 for j in range(n - free))
-            at_b = lead + (slice(None),) * (free + n - 1 - b)  # z bit b comes next
-            by_xz[at_b + (0, ...)] = block.real
-            np.negative(block.imag, out=by_xz[at_b + (1, ...)])
+            target = xz_block(out, n, first, count)
+            block = block.reshape(target.shape[1:])
+            at_b = (slice(None),) * (target.ndim - 1 - b)  # z bit b comes next
+            target[at_b + (0, ...)] = block.real
+            np.negative(block.imag, out=target[at_b + (1, ...)])
     return out
 
 
@@ -346,7 +345,7 @@ def pauli_spectrum(state: np.ndarray) -> PauliSpectrum:
     """Full distribution Xi over the 4^N Pauli strings of a pure state."""
     state = np.asarray(state)
     if state.ndim != 1:
-        raise ValueError("pauli_spectrum expects a pure statevector")
-    n = int(np.log2(state.shape[0]))
+        raise ValueError(f"pauli_spectrum expects a pure statevector, got shape {state.shape}")
+    n = n_qubits_of(state)
     values = all_expectations(state)
     return PauliSpectrum(values**2 / 2**n, n)

@@ -12,12 +12,13 @@ from ._guards import check_integer
 
 
 def n_qubits_of(state: np.ndarray) -> int:
-    """Qubit count of a statevector or density matrix."""
-    dim = np.asarray(state).shape[0]
-    n = int(np.log2(dim))
-    if 1 << n != dim:
-        raise ValueError("dimension is not a power of two")
-    return n
+    """Qubit count of a statevector or density matrix: at least 1, from a
+    first axis of power-of-two length; else a ValueError naming the shape."""
+    shape = np.shape(state)
+    dim = shape[0] if shape else 0
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"a state needs a first axis of power-of-two length at least 2, got shape {shape}")
+    return dim.bit_length() - 1
 
 
 STATE_TOL = 1e-8  # allowed deviation of the norm or trace from 1, of rho from rho^dagger, and below 0

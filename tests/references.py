@@ -2,7 +2,7 @@
 from the library as independent cross-checks."""
 import numpy as np
 
-from magic_meter._bits import interleave_zx, popcount, wht
+from magic_meter._bits import interleave_zx, kron_factors, kron_products, popcount, wht
 from magic_meter.circuits import gate_clifford, gate_cnot, gate_t
 from magic_meter.oracles import tsallis_stabilizer_entropy
 from magic_meter.paulis import PauliString
@@ -24,6 +24,23 @@ def reference_pauli_transform(n, rows, finish):
         vals = I_POWERS[popcount(k & xs) & 3] * wht(rows(xs, k))
         out[interleave_zx(k, xs, n).ravel()] = finish(vals).ravel()
     return out
+
+
+# sqrt(2) U_Bell with U_Bell = (H tensor I) CNOT on one (a_j, b_j) pair: its
+# entries are 0 and +-1 and its top-left entry is 1, so its Kronecker powers
+# are products of 16 x 16 factors (sqrt(2) U_Bell)^{tensor 2}.
+_BELL = kron_factors(np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=float), 2)
+
+
+def register_bell_distribution(a, b):
+    """|U_Bell^{tensor N} (a tensor b)|^2 through the 2N-qubit register, copies
+    interleaved pairwise: U_Bell^{tensor N} = 2^{-N/2} (sqrt(2) U_Bell)^{tensor N},
+    one BLAS product per 16 x 16 factor on the float64 view of the register."""
+    n = n_qubits_of(a)
+    joint = (a.reshape((2, 1) * n) * b.reshape((1, 2) * n)).reshape(-1)
+    amplitudes = kron_products(joint, _BELL)
+    amplitudes *= 2.0 ** (-n / 2)
+    return np.abs(amplitudes) ** 2
 
 
 def scalar_draw_doped_layers(n_qubits, depth, n_tgates, rng):

@@ -16,9 +16,10 @@ from magic_meter.estimators import (
     expected_parity_value,
     hoeffding_budget,
     renyi_precision_budget,
+    sample_bell,
 )
 from magic_meter.oracles import bell_magic, pauli_moment
-from magic_meter.paulis import pauli_spectrum
+from magic_meter.paulis import all_expectations, pauli_spectrum
 from magic_meter.states import density_of, haar_random_state, plus_state, t_state, zero_state
 from references import conjugate_state, reference_pauli_transform
 
@@ -78,6 +79,46 @@ def test_bell_distribution_mixed_matches_pure():
 def test_bell_distribution_errors():
     with pytest.raises(ValueError):
         bell_distribution(zero_state(1), zero_state(2))
+
+
+@pytest.mark.parametrize("state", [np.array(1.0), np.array([1.0]), [1]], ids=["0-d", "length-1", "list"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda s: bell_distribution(s, s),
+        lambda s: pauli_moment(s, 2),
+        lambda s: estimate_moment_bell(s, 3, 10, 0),
+        lambda s: bell_magic(s),
+        lambda s: pauli_spectrum(s),
+        lambda s: all_expectations(s),
+    ],
+    ids=["bell_distribution", "pauli_moment", "estimate_moment_bell", "bell_magic", "pauli_spectrum", "all_expectations"],
+)
+def test_zero_qubit_states_are_refused_with_their_shape(entry, state):
+    # unchecked, a 0-d array leaked IndexError, [1] numpy's "negative shift
+    # count", and estimate_moment_bell returned 1.0 for a 0-qubit state
+    with pytest.raises(ValueError, match=r"got shape \((1,)?\)"):
+        entry(state)
+
+
+@pytest.mark.parametrize(
+    "dist, size, defect",
+    [
+        (-bell_distribution(t_state(2), t_state(2)), 3, "nonnegative entries"),
+        (np.array([0.5, np.nan, 0.5, 0.0]), 3, "nonnegative entries"),
+        (np.array([0.5, np.inf, 0.5, 0.0]), 3, "positive sum"),
+        (np.zeros(4), 3, "positive sum"),
+        (np.full(4, 0.25), -1, "sample size"),
+        (np.full(4, 0.25), (2, -1), "sample size"),
+        (np.full(4, 0.25), 2.5, "sample size"),
+    ],
+    ids=["negated", "nan", "inf", "zero-sum", "negative-size", "negative-axis", "float-size"],
+)
+def test_sample_bell_refuses_a_bad_distribution_or_size(dist, size, defect):
+    # unchecked, the negated distribution was sampled as if positive, a zero
+    # sum warned of a divide and a negative size leaked "negative dimensions"
+    with pytest.raises(ValueError, match=defect):
+        sample_bell(dist, size, np.random.default_rng(0))
 
 
 def test_parity_estimator_is_unbiased_infinite_shots():

@@ -31,16 +31,21 @@ two paths do the same arithmetic and agree bit for bit (to 1 ulp for a
 (`references.reference_pauli_transform`) transforms every full row,
 multiplies by the phase i^{|z&x|} and scatters through the interleaved
 index of every (z, x); the two sum in other orders, so they agree to 1e-14,
-not bit for bit.  The pure-state Bell distribution is a product of 16 x 16 factors; the reference
-contracts the 4x4 Bell matrix into each pair axis with `np.tensordot`.
+not bit for bit.  The pure-state Bell distribution transforms chunks of
+rows a[k] b[k ^ x] over k, two bits of k per product; the reference
+contracts the 4x4 Bell matrix into each pair axis with `np.tensordot`, and
+the 2N-qubit register (`references.register_bell_distribution`), which sums
+in the same groups and order, agrees with it bit for bit.  A 4^10 output
+is 8 MB, and the 10-qubit spectrum path holds no scratch as large.
 """
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from magic_meter._bits import popcount, wht
+from magic_meter._bits import BLOCK_BYTES, popcount, wht
 from magic_meter._guards import DENSITY_QUBIT_GUARD
 from magic_meter.circuits import (
     SINGLE_QUBIT_CLIFFORDS,
@@ -68,7 +73,7 @@ from magic_meter.paulis import (
     pauli_from_string,
 )
 from magic_meter.states import density_of, haar_random_state, n_qubits_of
-from references import random_density_matrix, reference_pauli_transform
+from references import random_density_matrix, reference_pauli_transform, register_bell_distribution
 
 RTOL, ATOL = 1e-14, 1e-15
 
@@ -279,12 +284,14 @@ def sylvester_product(a, block=256):
 
 def _wht_inputs(n, is_complex, rng):
     """A vector, a (3, n) batch, a strided batch (every other column of a
-    wider array) and a transposed batch (F-ordered)."""
+    wider array), a transposed batch (F-ordered) and a batch that spans two
+    full row blocks of the products and part of a third."""
     def draw(*shape):
         x = rng.normal(size=shape)
         return x + 1j * rng.normal(size=shape) if is_complex else x
 
-    return [draw(n), draw(3, n), draw(3, 2 * n)[:, ::2], draw(n, 3).T]
+    block_rows = max(1, BLOCK_BYTES // (8 * n * (1 + is_complex)))
+    return [draw(n), draw(3, n), draw(3, 2 * n)[:, ::2], draw(n, 3).T, draw(2 * block_rows + 1, n)]
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
@@ -302,6 +309,9 @@ def test_wht_matches_butterfly_and_sylvester(m, is_complex):
         assert np.max(np.abs(got - reference_wht(a))) <= tol
         assert np.max(np.abs(got - sylvester_product(a))) <= tol
         assert np.max(np.abs(wht(got) - n * a)) <= tol * n
+        in_place = np.array(a, dtype=got.dtype, order="C")
+        assert wht(in_place, out=in_place) is in_place
+        np.testing.assert_array_equal(in_place, got)
 
 
 def test_wht_casts_complex64_and_integer_input():
@@ -311,6 +321,13 @@ def test_wht_casts_complex64_and_integer_input():
     c = (a + 1j * a[::-1]).astype(np.complex64)
     assert wht(c).dtype == np.complex128
     np.testing.assert_array_equal(wht(c), reference_wht(c.astype(complex)))
+
+
+def test_wht_refuses_an_out_it_cannot_write_whole():
+    a = np.ones((4, 8))
+    for out in [np.empty((8, 4)).T, np.empty((4, 8), dtype=complex), np.empty((4, 4))]:
+        with pytest.raises(ValueError, match="C-contiguous"):
+            wht(a, out=out)
 
 
 @pytest.mark.parametrize("n", [0, 3, 6, 12, 1000])
@@ -402,7 +419,7 @@ def test_pure_spectrum_invariants(n):
         np.testing.assert_array_equal(rho, before)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_pure_bell_distribution_matches_the_tensordot_reference(n):
     rng = np.random.default_rng(500 + n)
     psi, other = haar_random_state(n, rng), haar_random_state(n, rng)
@@ -412,6 +429,36 @@ def test_pure_bell_distribution_matches_the_tensordot_reference(n):
         np.testing.assert_array_equal(a, before[0])
         np.testing.assert_array_equal(b, before[1])
         np.testing.assert_allclose(got, reference_bell_distribution(a, b), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pure_bell_distribution_equals_the_register_bit_for_bit(n):
+    # the chunked kernel sums each outcome in the register's groups and order
+    rng = np.random.default_rng(700 + n)
+    psi, other = haar_random_state(n, rng), haar_random_state(n, rng)
+    for a, b in [(psi.conj(), psi), (psi, psi), (psi, other)]:
+        np.testing.assert_array_equal(bell_distribution(a, b), register_bell_distribution(a, b))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda psi: bell_distribution(psi, psi), all_expectations, lambda psi: pauli_moment(psi, 3)],
+    ids=["bell_distribution", "all_expectations", "pauli_moment"],
+)
+def test_ten_qubit_spectrum_path_holds_less_scratch_than_its_output(call):
+    # The 4^10 output is 8 MB; a 2N-qubit Bell register or full-size
+    # products or powers would take the peak to 24 MB or more.  A warm-up
+    # call builds the cached index tables first.
+    psi = haar_random_state(10, np.random.default_rng(17))
+    call(psi)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("moment", [1, 2, 3, 4])
