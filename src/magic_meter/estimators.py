@@ -93,10 +93,58 @@ def bell_distribution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(dist, 0.0)  # zero probabilities can round to -1e-18
 
 
+def _draw_categorical(weights: np.ndarray, total: float, size, rng: np.random.Generator) -> np.ndarray:
+    """Indices drawn from ``weights / total`` by inverse-CDF search, equal to
+    ``rng.choice(len(weights), size, p=weights / total)``: the same single
+    ``rng.random(size)`` call, searched (side="right") in the same running
+    sum, normalized by its last entry.  That running sum is formed block by
+    block in one buffer of at most BLOCK_BYTES, each block's first entry
+    taking the previous block's last before its ``cumsum``, so its entries
+    are those of one sequential ``cumsum`` bit for bit.  A first pass finds
+    the last entry; the second normalizes each block and places the sorted
+    draws that fall below its end.  ``weights`` is only read."""
+    u = rng.random(size)
+    flat = u.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    out = np.empty(flat.shape, dtype=np.intp)
+    step = BLOCK_BYTES // 8
+    buf = np.empty(min(step, weights.shape[0]))
+
+    def running_sum(start, carry):
+        block = buf[: weights.shape[0] - start]
+        np.divide(weights[start : start + step], total, out=block)
+        block[0] += carry
+        return np.cumsum(block, out=block)
+
+    starts = range(0, weights.shape[0], step)
+    last = 0.0
+    for start in starts:
+        last = running_sum(start, last)[-1]
+    carry, done = 0.0, 0
+    for start in starts:
+        if done == ranked.shape[0]:
+            break
+        block = running_sum(start, carry)
+        carry = block[-1]
+        block /= last  # choice divides the finished sum by its last entry
+        below = int(np.searchsorted(ranked, block[-1], side="left"))
+        out[order[done:below]] = start + np.searchsorted(block, ranked[done:below], side="right")
+        done = below
+    return out.reshape(u.shape)
+
+
 def sample_bell(dist: np.ndarray, size, rng) -> np.ndarray:
-    """Draw outcome indices from a Bell distribution: finite, nonnegative
-    weights with a positive sum, normalized here.  ``size`` is a count or a
-    shape of nonnegative integers.  Raises ``ValueError`` naming the defect."""
+    """Draw outcome indices from a Bell distribution: a 1-D array of finite,
+    nonnegative weights with a positive sum, normalized here.  ``size`` is a
+    count or a shape of nonnegative integers.  The draws equal
+    ``Generator.choice(len(dist), size, p=dist / dist.sum())``'s for the same
+    generator state, but the scratch is one O(BLOCK_BYTES) buffer plus
+    O(size), not two copies of ``dist``, which is never written to.  Raises
+    ``ValueError`` naming the defect."""
+    dist = np.asarray(dist, dtype=float)
+    if dist.ndim != 1:
+        raise ValueError(f"a Bell distribution must be a 1-D array, got shape {dist.shape}")
     if not all(is_integer(s) and s >= 0 for s in np.atleast_1d(size).tolist()):
         raise ValueError(f"sample size must be a nonnegative count or shape, got {size!r}")
     lowest, total = float(np.min(dist, initial=0.0)), float(dist.sum())
@@ -104,8 +152,7 @@ def sample_bell(dist: np.ndarray, size, rng) -> np.ndarray:
         raise ValueError(f"a Bell distribution needs finite, nonnegative entries, got the entry {lowest!r}")
     if not (math.isfinite(total) and total > 0):
         raise ValueError(f"a Bell distribution needs a finite, positive sum, got {total!r}")
-    rng = np.random.default_rng(rng)
-    return rng.choice(dist.shape[0], size=size, p=dist / total)
+    return _draw_categorical(dist, total, size, np.random.default_rng(rng))
 
 
 @dataclass(frozen=True)
@@ -302,7 +349,7 @@ def estimate_participation(
         raise ValueError(f"participation sampling takes a statevector, got shape {psi.shape}")
     probs = np.abs(psi) ** 2
     groups = shots // q
-    draws = rng.choice(probs.shape[0], size=(groups, q), p=probs / probs.sum())
+    draws = _draw_categorical(probs, float(probs.sum()), (groups, q), rng)
     hits = np.all(draws == draws[:, :1], axis=1).astype(float)
     return _result_from_samples(hits, groups * q, "participation", q, seed)
 

@@ -92,22 +92,27 @@ def moment_operator(n: int) -> np.ndarray:
     return gamma / 2.0
 
 
+def _basis_probabilities(state: np.ndarray) -> np.ndarray:
+    """|<k|psi>|^2 of a validated statevector; a density matrix is refused."""
+    state = np.asarray(state)
+    validate_state(state)
+    if state.ndim != 1:
+        raise ValueError(f"participation entropy takes a statevector, got shape {state.shape}")
+    return np.abs(state) ** 2
+
+
 def participation_entropy(state: np.ndarray, q: float) -> float:
     """I_q = sum_k |<k|psi>|^{2q} of the computational-basis distribution of
     a statevector; a density matrix is refused."""
     if not (finite_real(q) and q > 0):
         raise ValueError(f"q must be finite and positive, got {q!r}")
-    state = np.asarray(state)
-    validate_state(state)
-    if state.ndim != 1:
-        raise ValueError(f"participation entropy takes a statevector, got shape {state.shape}")
-    probs = np.abs(state) ** 2
-    return float(np.sum(probs**q))
+    return float(np.sum(_basis_probabilities(state) ** q))
 
 
 def flatness(state: np.ndarray) -> float:
     """Multifractal flatness I_3 - I_2^2 of the basis distribution."""
-    return participation_entropy(state, 3) - participation_entropy(state, 2) ** 2
+    probs = _basis_probabilities(state)
+    return float(np.sum(probs**3)) - float(np.sum(probs**2)) ** 2
 
 
 def clifford_average_flatness(state: np.ndarray) -> float:

@@ -43,6 +43,12 @@ def register_bell_distribution(a, b):
     return np.abs(amplitudes) ** 2
 
 
+def choice_sample_bell(dist, size, rng):
+    """Bell samples through numpy's ``Generator.choice``, which holds the
+    normalized distribution and its running sum in full."""
+    return rng.choice(len(dist), size, p=dist / dist.sum())
+
+
 def scalar_draw_doped_layers(n_qubits, depth, n_tgates, rng):
     """The layers of ``doped_layered_gate_layers`` drawn one Clifford index at
     a time: the T slots first, then one ``int(rng.integers(24))`` per (layer,

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from magic_meter.estimators import (
 from magic_meter.oracles import bell_magic, pauli_moment
 from magic_meter.paulis import all_expectations, pauli_spectrum
 from magic_meter.states import density_of, haar_random_state, plus_state, t_state, zero_state
-from references import conjugate_state, reference_pauli_transform
+from references import choice_sample_bell, conjugate_state, reference_pauli_transform
 
 
 def test_bell_distribution_zero_state():
@@ -111,14 +114,64 @@ def test_zero_qubit_states_are_refused_with_their_shape(entry, state):
         (np.full(4, 0.25), -1, "sample size"),
         (np.full(4, 0.25), (2, -1), "sample size"),
         (np.full(4, 0.25), 2.5, "sample size"),
+        (np.full((4, 4), 1 / 16), 3, r"1-D array, got shape \(4, 4\)"),
     ],
-    ids=["negated", "nan", "inf", "zero-sum", "negative-size", "negative-axis", "float-size"],
+    ids=["negated", "nan", "inf", "zero-sum", "negative-size", "negative-axis", "float-size", "2-d"],
 )
 def test_sample_bell_refuses_a_bad_distribution_or_size(dist, size, defect):
     # unchecked, the negated distribution was sampled as if positive, a zero
     # sum warned of a divide and a negative size leaked "negative dimensions"
     with pytest.raises(ValueError, match=defect):
         sample_bell(dist, size, np.random.default_rng(0))
+
+
+def _assert_draws_equal_choice(dist):
+    # The blockwise draw returns choice's indices bit for bit, leaves the
+    # generator where choice leaves it, and only reads the distribution.
+    before = dist.copy()
+    for seed in range(5):
+        for size in [7, (1000, 3), 0, (0, 3), ()]:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = sample_bell(dist, size, ours), choice_sample_bell(dist, size, theirs)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            assert ours.random() == theirs.random()
+    np.testing.assert_array_equal(dist, before)
+
+
+@pytest.mark.parametrize("nq", [1, 2, 3, 4, 5, 6, 10])  # 4^10 outcomes span 8 blocks
+def test_sample_bell_draws_what_generator_choice_draws(nq):
+    psi = haar_random_state(nq, np.random.default_rng(nq))
+    _assert_draws_equal_choice(bell_distribution(psi, psi))
+    _assert_draws_equal_choice(bell_distribution(psi.conj(), psi))
+
+
+def test_sample_bell_draws_what_generator_choice_draws_past_an_empty_block():
+    psi = haar_random_state(10, np.random.default_rng(10))
+    dist = bell_distribution(psi, psi)
+    dist[3 * 2**17 : 4 * 2**17] = 0.0  # the whole fourth block
+    _assert_draws_equal_choice(dist)
+    assert not np.any(sample_bell(dist, 2000, 0) // 2**17 == 3)
+    last = np.zeros(4**3)
+    last[-1] = 2.0  # all the mass on the last index
+    _assert_draws_equal_choice(last)
+    np.testing.assert_array_equal(sample_bell(last.tolist(), 50, 0), np.full(50, 63))
+
+
+def test_sample_bell_holds_no_full_size_copy():
+    # Generator.choice held the normalized 8 MB distribution and its running
+    # sum, a 16 MB peak; the blockwise draw holds one 1 MB block.
+    psi = haar_random_state(10, np.random.default_rng(10))
+    dist = bell_distribution(psi, psi)
+    sample_bell(dist, 2000, np.random.default_rng(0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sample_bell(dist, 2000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_parity_estimator_is_unbiased_infinite_shots():

@@ -168,6 +168,12 @@ def test_participation_and_flatness():
     assert flatness(tilted) == pytest.approx(0.0625, abs=1e-12)
 
 
+def test_flatness_is_the_difference_of_participation_entropies_bit_for_bit():
+    for nq in (1, 4, 8):
+        psi = haar_random_state(nq, np.random.default_rng(40 + nq))
+        assert flatness(psi) == participation_entropy(psi, 3) - participation_entropy(psi, 2) ** 2
+
+
 def test_clifford_average_flatness_formula():
     assert clifford_average_flatness(zero_state(2)) == pytest.approx(0.0, abs=1e-12)
     assert clifford_average_flatness(t_state()) == pytest.approx(1 / 24, abs=1e-12)
