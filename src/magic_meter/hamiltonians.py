@@ -106,10 +106,14 @@ class Evolver:
         check_capacity(n, UNITARY_QUBIT_GUARD, "qubits in dense evolution")
         self.eigvals, self.eigvecs = np.linalg.eigh(dense_of(hamiltonian))
 
+    def _phases(self, t: float) -> np.ndarray:
+        if not finite_real(t):
+            raise ValueError(f"time t must be finite, got {t!r}")
+        return np.exp(-1j * self.eigvals * t)
+
     def unitary(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.eigvals * t)
-        return (self.eigvecs * phases) @ self.eigvecs.conj().T
+        return (self.eigvecs * self._phases(t)) @ self.eigvecs.conj().T
 
     def evolve(self, t: float, psi: np.ndarray) -> np.ndarray:
         coeffs = self.eigvecs.conj().T @ psi
-        return self.eigvecs @ (np.exp(-1j * self.eigvals * t) * coeffs)
+        return self.eigvecs @ (self._phases(t) * coeffs)

@@ -133,6 +133,8 @@ def mitigate_moment(moment_noisy: float, p: float, n: int, n_qubits: int) -> flo
     """Invert the global-depolarizing moment map."""
     check_integer(n, "n", 1)
     check_integer(n_qubits, "n_qubits", 1)
+    if not finite_real(moment_noisy):
+        raise ValueError(f"moment_noisy must be finite, got {moment_noisy!r}")
     if not (0.0 <= p < 1.0):
         raise ValueError("mitigation needs p in [0, 1)")
     shrink = (1.0 - p) ** (2 * n)

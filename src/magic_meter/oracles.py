@@ -220,6 +220,8 @@ class BoundsReport:
 def bounds_from_moment(moment: float, n: int, clamp: bool = True) -> BoundsReport:
     """Bounds computed from a given (possibly measured) n-th moment."""
     check_integer(n, "n", 2)
+    if not finite_real(moment):
+        raise ValueError(f"moment must be finite, got {moment!r}")
     if clamp:
         moment = min(max(moment, 1e-300), 1.0)
     upper = moment ** (1.0 / (2 * n))

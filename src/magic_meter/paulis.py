@@ -159,51 +159,53 @@ _CHUNK = 512
 _TWICE_I_POWERS = 2 * np.array([1, 1j, -1, -1j])
 
 
+def _chunk_blocks(n: int, start: int) -> list:
+    """The read-only blocks of the chunk of X-masks from start: aligned masks
+    that share their top set bit b and hold at most BLOCK_BYTES of half rows,
+    each as (first mask x0, b, mask column xs, kept indices k, phase index
+    |k & xs| mod 4), k the ascending basis indices with bit b clear.  Mask 0,
+    with no set bit, is a block of its own that reads the even k and the odd
+    k next to them."""
+    chunk = min(_CHUNK, 1 << n)
+    step = max(1, BLOCK_BYTES // (8 << n))  # masks per block: a half row is 8 * 2^N bytes
+    if start:
+        spans = [(start, chunk, start.bit_length() - 1)]
+    else:
+        spans = [(0, 1, 0)] + [(1 << b, 1 << b, b) for b in range(chunk.bit_length() - 1)]
+    low = np.arange(1 << (n - 1))
+    blocks = []
+    for first, count, b in spans:
+        kept = ((low >> b) << (b + 1)) | (low & ((1 << b) - 1))
+        for x0 in range(first, first + count, step):
+            xs = np.arange(x0, x0 + min(step, count))[:, None]
+            blocks.append((x0, b, xs, kept if x0 else np.stack([kept, kept | 1]), np.bitwise_count(kept & xs) & 3))
+            for table in blocks[-1][2:]:
+                table.flags.writeable = False
+    return blocks
+
+
 @lru_cache(maxsize=STATEVECTOR_QUBIT_GUARD)
-def _half_rows(n: int) -> tuple[np.ndarray, ...]:
-    """Per bit b < n, the read-only ascending basis indices k with bit b clear,
-    built once per register width."""
-    kept = np.arange(1 << (n - 1))
-    rows = tuple(((kept >> b) << (b + 1)) | (kept & ((1 << b) - 1)) for b in range(n))
-    for k in rows:
-        k.flags.writeable = False
-    return rows
+def _first_chunk(n: int) -> list:
+    """``_chunk_blocks(n, 0)``, built once per register width.  Later chunks
+    are built per call: kept for every chunk, the phase indices would hold
+    4^N / 2 bytes per width."""
+    return _chunk_blocks(n, 0)
 
 
-# Widest register of the one-pass kernel.  Beyond it the block loop is as fast
-# or faster (9 and 10 qubits, one BLAS thread), and no tables are held.
-_ONE_PASS_QUBITS = 8
-
-
-@lru_cache(maxsize=_ONE_PASS_QUBITS)
-def _one_pass_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only tables of the one-pass kernel at width n, built on first use:
-    the X-mask column, the kept basis indices k of each row, c = |k & x| mod 4
-    and the gather from the transformed half rows to the interleaved output.
-
-    Row x < 2^N keeps the k whose bit b(x), the top set bit of x, is clear
-    (b(0) = 0, so row 0 holds the even k); one more row, again of mask 0,
-    holds the odd k for the mask-0 packing.  The transformed rows, viewed as
-    floats, hold (Re, Im) of W'[x, z'] at 2^N x + 2 z' + (0, 1), and output
-    index (z, x) reads the part set by bit b(x) of z at the z' that is z less
-    that bit.
-    """
+@lru_cache(maxsize=_CHUNK.bit_length() - 1)
+def _gather(n: int) -> np.ndarray:
+    """The gather, built once per width, from the transformed half rows of a
+    one-chunk spectrum, whose float view holds (Re, Im) of W'[x, z'] at
+    2^N x + 2 z' + (0, 1), to the interleaved output.  It stays writable:
+    ``take`` copies a read-only index array on every call."""
     dim = 1 << n
     x = np.arange(dim)
     top = np.array([max(v.bit_length() - 1, 0) for v in range(dim)])  # b(x)
-    kept = np.stack(_half_rows(n))[top]
-    kept = np.vstack([kept, kept[:1] | 1])
-    xs = np.append(x, 0)[:, None]
-    c = (np.bitwise_count(kept[:dim] & xs[:dim]) & 3).astype(np.uint8)
-    z = x[:, None]  # source index of output (z, x): one row per z, one column per x
-    bit = (z >> top) & 1
-    low = (1 << top) - 1
-    packed = ((z >> (top + 1)) << top) | (z & low)  # z' = z less bit b(x)
-    gather = np.empty(4**n, dtype=np.int32)
-    gather[interleave_zx(z, x, n)] = x * dim + 2 * packed + bit
-    for table in (xs, kept, c, gather):
-        table.flags.writeable = False
-    return xs, kept, c, gather
+    z = x[:, None]  # one row per z, one column per x
+    packed = ((z >> (top + 1)) << top) | (z & ((1 << top) - 1))  # z' = z less bit b(x)
+    gather = np.empty(4**n, dtype=np.intp)
+    gather[interleave_zx(z, x, n)] = x * dim + 2 * packed + ((z >> top) & 1)
+    return gather
 
 
 def _pauli_transform(n: int, rows) -> np.ndarray:
@@ -221,64 +223,38 @@ def _pauli_transform(n: int, rows) -> np.ndarray:
     f0 = f[0, k] and f1 = f[0, k | 1] packed into h = ((f0 + f1) - i(f0 - f1)) / 2,
     which the same two formulas unpack.
 
-    Up to _ONE_PASS_QUBITS every mask fits one Walsh-Hadamard transform, and
-    one ``rows`` call, one phase product, one conjugation (so the imaginary
-    parts come out negated) and one gather through cached tables finish it.
-    Wider registers take ``_block_transform``.
-    """
-    if n > _ONE_PASS_QUBITS:
-        return _block_transform(n, rows)
-    dim = 1 << n
-    xs, kept, c, gather = _one_pass_tables(n)
-    half = rows(xs, kept)
-    f0, f1 = half[0].real, half[dim].real
-    half[0] = ((f0 + f1) - 1j * (f0 - f1)) / 2
-    vals = wht(half[:dim])
-    # free the rows (f0 and f1 view them) before the next allocations: a
-    # lower peak leaves the allocator fewer freed pages to map again per call
-    del half, f0, f1
-    vals *= _TWICE_I_POWERS.take(c)
-    np.conjugate(vals, out=vals)
-    return vals.view(float).reshape(-1).take(gather)
-
-
-def _block_transform(n: int, rows) -> np.ndarray:
-    """``_pauli_transform`` in chunks of _CHUNK X-masks, one in-place
-    Walsh-Hadamard transform per chunk of one reused buffer.  A chunk is
-    split into aligned blocks of masks that share their top bit and hold at
-    most BLOCK_BYTES of half rows.  Each block is filled by one ``rows`` call,
-    then, after the transform, takes its phase and is written through
-    ``xz_block``, so no scratch is larger than the chunk buffer.
+    The masks run in chunks of _CHUNK through one reused buffer: one
+    ``rows`` call and one phase product per block (``_chunk_blocks``), one
+    in-place Walsh-Hadamard transform per chunk.  Only the placement depends
+    on the size: a one-chunk spectrum is conjugated (so the imaginary parts
+    come out negated) and gathered by one ``take``; a wider one is written
+    block by block through ``xz_block``, so no scratch exceeds the buffer.
     """
     dim = 1 << n
-    out = np.empty(4**n)
-    kept = _half_rows(n)
     chunk = min(_CHUNK, dim)
-    step = max(1, BLOCK_BYTES // (8 * dim))  # masks per block: a half row is 8 dim bytes
     half = np.empty((chunk, dim >> 1), dtype=complex)
+    out = None if chunk == dim else np.empty(4**n)
     for start in range(0, dim, chunk):
-        # (first mask, mask count, top bit b) of each block; mask 0 pairs on bit 0
-        if start:
-            spans = [(start, chunk, start.bit_length() - 1)]
-        else:
-            spans = [(0, 1, 0)] + [(1 << b, 1 << b, b) for b in range(chunk.bit_length() - 1)]
-        blocks = [(first + s, min(step, count), b) for first, count, b in spans for s in range(0, count, step)]
-        masks = [np.arange(first, first + count)[:, None] for first, count, _ in blocks]
-        for (first, count, b), xs in zip(blocks, masks):
-            if first:
-                half[first - start : first - start + count] = rows(xs, kept[b])
+        blocks = _chunk_blocks(n, start) if start else _first_chunk(n)
+        for x0, _, xs, k, _ in blocks:
+            if x0:
+                half[x0 - start : x0 - start + len(xs)] = rows(xs, k)
             else:
-                f0, f1 = rows(xs, np.stack([kept[0], kept[0] | 1])).real
+                f0, f1 = rows(xs, k).real
                 half[0] = ((f0 + f1) - 1j * (f0 - f1)) / 2
         wht(half, out=half)
-        for (first, count, b), xs in zip(blocks, masks):
-            block = half[first - start : first - start + count]
-            block *= _TWICE_I_POWERS.take(np.bitwise_count(kept[b] & xs) & 3)
-            target = xz_block(out, n, first, count)
-            block = block.reshape(target.shape[1:])
-            at_b = (slice(None),) * (target.ndim - 1 - b)  # z bit b comes next
-            target[at_b + (0, ...)] = block.real
-            np.negative(block.imag, out=target[at_b + (1, ...)])
+        for x0, b, xs, _, c in blocks:
+            block = half[x0 - start : x0 - start + len(xs)]
+            block *= _TWICE_I_POWERS.take(c)
+            if out is not None:
+                target = xz_block(out, n, x0, len(xs))
+                block = block.reshape(target.shape[1:])
+                at_b = (slice(None),) * (target.ndim - 1 - b)  # z bit b comes next
+                target[at_b + (0, ...)] = block.real
+                np.negative(block.imag, out=target[at_b + (1, ...)])
+    if out is None:
+        np.conjugate(half, out=half)
+        return half.view(float).reshape(-1).take(_gather(n))
     return out
 
 

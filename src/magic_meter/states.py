@@ -104,4 +104,6 @@ def choi_state(unitary: np.ndarray) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"choi_state needs a square matrix, got shape {u.shape}")
     n_qubits_of(u)  # validates the dimension
+    if not np.all(np.isfinite(u)):
+        raise ValueError("unitary has non-finite entries (NaN or infinity)")
     return (u.T / np.sqrt(u.shape[0])).reshape(-1)

@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from magic_meter._bits import BLOCK_BYTES
 from magic_meter.circuits import Circuit, apply_circuit, gate_h, gate_rz
 from magic_meter.estimators import (
     EstimatorResult,
+    _draw_categorical,
     bell_distribution,
     estimate_bell_magic,
     estimate_moment_bell,
@@ -156,6 +158,39 @@ def test_sample_bell_draws_what_generator_choice_draws_past_an_empty_block():
     last[-1] = 2.0  # all the mass on the last index
     _assert_draws_equal_choice(last)
     np.testing.assert_array_equal(sample_bell(last.tolist(), 50, 0), np.full(50, 63))
+
+
+class _ChosenUniforms:
+    """A generator stub whose ``random(size)`` returns chosen uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, size):
+        return self.uniforms.reshape(size).copy()
+
+
+def test_draw_categorical_normalizes_and_breaks_ties_as_choice_does():
+    # Generator.choice normalizes the running sum by its last entry and draws
+    # u at the first index whose normalized sum exceeds u.  Uniforms drawn at
+    # random almost never test either rule, so these are chosen: one equal to
+    # the first block's last normalized entry, whose next outcomes are empty,
+    # and two above the unnormalized last entry, which a total a little above
+    # the weights' sum keeps below 1.
+    step = BLOCK_BYTES // 8  # float64 entries per block
+    weights = np.random.default_rng(7).random(2 * step + 5) + 0.5
+    weights[step : step + 3] = 0.0
+    total = weights.sum() * (1 + 1e-9)
+    cdf = np.cumsum(weights / total)
+    last = cdf[-1]
+    cdf /= last
+    above = [np.nextafter(1.0, 0.0), (1.0 + last) / 2]
+    assert last < min(above)
+    uniforms = np.array([0.5, cdf[step - 1], *above, 0.0])
+    want = np.searchsorted(cdf, uniforms, side="right")
+    np.testing.assert_array_equal(want[1:4], [step + 3, len(weights) - 1, len(weights) - 1])
+    got = _draw_categorical(weights, total, uniforms.shape, _ChosenUniforms(uniforms))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_sample_bell_holds_no_full_size_copy():

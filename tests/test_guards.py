@@ -33,7 +33,7 @@ from magic_meter.hamiltonians import (
     ising_hamiltonian,
     random_pauli_hamiltonian,
 )
-from magic_meter.noise import NoiseKind, NoiseModel, noisy_circuit_state
+from magic_meter.noise import NoiseKind, NoiseModel, mitigate_moment, noisy_circuit_state
 from magic_meter.oracles import (
     bell_magic,
     bounds_from_moment,
@@ -43,7 +43,7 @@ from magic_meter.oracles import (
     pauli_moment,
 )
 from magic_meter.paulis import PauliString, all_expectations, pauli_from_index
-from magic_meter.states import haar_random_state, plus_state, t_state, zero_state
+from magic_meter.states import choi_state, haar_random_state, plus_state, t_state, zero_state
 
 
 def _vector(n):
@@ -196,4 +196,26 @@ def test_integer_arguments_refuse_floats_bools_and_values_below_their_least(entr
     function, name, least = _INTEGER_ARGUMENTS[entry]
     value = least - 1 if value == "least - 1" else value
     with pytest.raises(ValueError, match=f"{name} must be an integer of at least {least}, got {value!r}"):
+        function(value)
+
+
+_Z = np.diag([1.0, -1.0])
+
+# entry point -> (function of the real argument, what the error message names)
+_FINITE_ARGUMENTS = {
+    "bounds_from_moment-moment": (lambda v: bounds_from_moment(v, 2), "moment"),
+    "bounds_from_moment-moment-unclamped": (lambda v: bounds_from_moment(v, 2, clamp=False), "moment"),
+    "mitigate_moment-moment_noisy": (lambda v: mitigate_moment(v, 0.1, 2, 3), "moment_noisy"),
+    "choi_state-unitary": (lambda v: choi_state(np.full((2, 2), v)), "unitary"),
+    "Evolver.unitary-t": (lambda v: Evolver(_Z).unitary(v), "time t"),
+    "Evolver.evolve-t": (lambda v: Evolver(_Z).evolve(v, plus_state(1)), "time t"),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("entry", sorted(_FINITE_ARGUMENTS))
+def test_non_finite_arguments_are_refused_by_name(entry, value):
+    # unchecked, each of these came back as NaN (an all-NaN report for the bounds)
+    function, name = _FINITE_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} (must be finite|has non-finite entries)"):
         function(value)
