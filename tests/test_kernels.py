@@ -30,7 +30,10 @@ spectrum of at most 9 qubits is one chunk, gathered into the interleaved
 order by one `take`; a wider one is written block by block through a
 strided view of its output.  The full-row test runs every width up to 10
 qubits for a statevector and up to the density guard for a density
-matrix, so it covers both placements.  The reference
+matrix, so it covers both placements.  The two placements also agree bit
+for bit: a test forces chunks of two masks (one at 1 qubit) on a spectrum
+that would be one chunk, so its blocks, products and per-row transforms
+are the same and only the placement differs.  The reference
 (`references.reference_pauli_transform`) transforms every full row,
 multiplies by the phase i^{|z&x|} and scatters through the interleaved
 index of every (z, x); the two sum in other orders, so they agree to 1e-14,
@@ -65,7 +68,10 @@ from magic_meter.circuits import (
 from magic_meter.estimators import bell_distribution
 from magic_meter.noise import NoiseKind, NoiseModel, _kraus_for, apply_channel
 from magic_meter.oracles import pauli_moment
+from magic_meter import paulis
 from magic_meter.paulis import (
+    _pauli_transform,
+    _state_rows,
     all_expectations,
     apply_pauli,
     pauli_from_index,
@@ -376,6 +382,23 @@ def test_all_expectations_matches_the_full_row_reference(state):
     got = all_expectations(state)
     np.testing.assert_array_equal(state, before)
     np.testing.assert_allclose(got, reference_all_expectations(state), rtol=0, atol=1e-14)
+
+
+def _placement_inputs():
+    pure = [haar_random_state(n, np.random.default_rng([900, n, s])) for n in range(1, 9) for s in range(3)]
+    return pure + [random_density_matrix(n, np.random.default_rng([901, n, s])) for n in range(1, 7) for s in range(3)]
+
+
+@pytest.mark.parametrize("state", _placement_inputs(), ids=lambda s: f"{s.ndim}d-{s.shape[0]}")
+def test_gather_placement_equals_the_strided_placement(state, monkeypatch):
+    n = n_qubits_of(state)
+    rows = _state_rows(state)
+    gathered = _pauli_transform(n, rows)
+    # Chunks of two masks make the spectrum take the strided placement; the
+    # first chunk is built afresh, so the cached one-chunk blocks stay as they are.
+    monkeypatch.setattr(paulis, "_CHUNK", min(2, 1 << (n - 1)))
+    monkeypatch.setattr(paulis, "_first_chunk", lambda width: paulis._chunk_blocks(width, 0))
+    np.testing.assert_array_equal(_pauli_transform(n, rows), gathered)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
