@@ -160,101 +160,112 @@ _TWICE_I_POWERS = 2 * np.array([1, 1j, -1, -1j])
 
 
 def _chunk_blocks(n: int, start: int) -> list:
-    """The read-only blocks of the chunk of X-masks from start: aligned masks
-    that share their top set bit b and hold at most BLOCK_BYTES of half rows,
-    each as (first mask x0, b, mask column xs, kept indices k, phase index
-    |k & xs| mod 4), k the ascending basis indices with bit b clear.  Mask 0,
-    with no set bit, is a block of its own that reads the even k and the odd
-    k next to them."""
+    """The read-only blocks of the chunk of X-masks from start: aligned runs
+    of masks whose ``rows`` call (the rows and one gathered operand, two half
+    rows per mask) holds at most BLOCK_BYTES, each as (first mask x0, mask
+    column xs, kept indices k, phase index c = |k & xs| mod 4).  Row x keeps
+    the ascending basis indices with bit b(x), the top set bit of x, clear;
+    a block past mask 0 shares one b, so k is one row.  The first block has
+    one row per mask, then one more for mask 0, which has no set bit: it
+    keeps the even k and pairs them with the odd k next to them."""
     chunk = min(_CHUNK, 1 << n)
-    step = max(1, BLOCK_BYTES // (8 << n))  # masks per block: a half row is 8 * 2^N bytes
-    if start:
-        spans = [(start, chunk, start.bit_length() - 1)]
-    else:
-        spans = [(0, 1, 0)] + [(1 << b, 1 << b, b) for b in range(chunk.bit_length() - 1)]
+    step = min(chunk, max(1, BLOCK_BYTES // (16 << n)))  # masks per block: two half rows of 8 * 2^N bytes
     low = np.arange(1 << (n - 1))
     blocks = []
-    for first, count, b in spans:
-        kept = ((low >> b) << (b + 1)) | (low & ((1 << b) - 1))
-        for x0 in range(first, first + count, step):
-            xs = np.arange(x0, x0 + min(step, count))[:, None]
-            blocks.append((x0, b, xs, kept if x0 else np.stack([kept, kept | 1]), np.bitwise_count(kept & xs) & 3))
-            for table in blocks[-1][2:]:
-                table.flags.writeable = False
+    for x0 in range(start, start + chunk, step):
+        xs = np.arange(x0, x0 + step)[:, None]
+        top = x0.bit_length() - 1 if x0 else np.array([[max(x.bit_length() - 1, 0)] for x in range(step)])
+        kept = ((low >> top) << (top + 1)) | (low & ((1 << top) - 1))
+        c = np.bitwise_count(kept & xs) & 3
+        if not x0:
+            xs, kept = np.vstack([xs, [[0]]]), np.vstack([kept, kept[:1] | 1])
+        blocks.append((x0, xs, kept, c))
+        for table in blocks[-1][1:]:
+            table.flags.writeable = False
     return blocks
 
 
 @lru_cache(maxsize=STATEVECTOR_QUBIT_GUARD)
-def _first_chunk(n: int) -> list:
-    """``_chunk_blocks(n, 0)``, built once per register width.  Later chunks
-    are built per call: kept for every chunk, the phase indices would hold
-    4^N / 2 bytes per width."""
-    return _chunk_blocks(n, 0)
-
-
-@lru_cache(maxsize=_CHUNK.bit_length() - 1)
-def _gather(n: int) -> np.ndarray:
-    """The gather, built once per width, from the transformed half rows of a
-    one-chunk spectrum, whose float view holds (Re, Im) of W'[x, z'] at
-    2^N x + 2 z' + (0, 1), to the interleaved output.  It stays writable:
-    ``take`` copies a read-only index array on every call."""
-    dim = 1 << n
+def _first_chunk(n: int) -> tuple[list, np.ndarray | None]:
+    """The tables of the first chunk, built once per width and kept: its
+    blocks, ``_chunk_blocks(n, 0)``, and, when the chunk is the whole
+    spectrum, the gather (8 * 4^N bytes) from its transformed half rows,
+    whose float view holds (Re, Im) of W'[x, z'] at 2^N x + 2 z' + (0, 1),
+    to the interleaved output: 0.8 MB at N = 8, 2.4 MB at N = 9, 0.5 MB at
+    N = 10, 1.8 MB at N = 12.  Later chunks are built per call: kept for
+    every chunk, the phase indices would hold 4^N / 2 bytes per width.  The
+    gather stays writable: ``take`` copies a read-only index array per call."""
+    dim, blocks = 1 << n, _chunk_blocks(n, 0)
+    if dim > _CHUNK:
+        return blocks, None
     x = np.arange(dim)
     top = np.array([max(v.bit_length() - 1, 0) for v in range(dim)])  # b(x)
     z = x[:, None]  # one row per z, one column per x
     packed = ((z >> (top + 1)) << top) | (z & ((1 << top) - 1))  # z' = z less bit b(x)
     gather = np.empty(4**n, dtype=np.intp)
     gather[interleave_zx(z, x, n)] = x * dim + 2 * packed + ((z >> top) & 1)
-    return gather
+    return blocks, gather
 
 
 def _pauli_transform(n: int, rows) -> np.ndarray:
     """The one Pauli-transform kernel over all 4^N strings sigma = (z, x).
 
-    ``rows(x, k)`` gives the block f[x, k] (x a column of X-masks, k a row of
-    basis indices), and the kernel returns the real values
-    v[x, z] = i^{|z&x|} sum_k (-1)^{z.k} f[x, k].  Each row must be Hermitian
-    under k -> k ^ x, f[x, k ^ x] = conj f[x, k], as the rows of a pure or
-    mixed state are, so only half of it is read.  For b the top set bit of x,
-    the half row h[k'] = f[x, k] over the k with bit b clear has the
-    transform W'; with z' = z less bit b and c = |z' & x|,
-    v[x, z] = 2 Re(i^c W'[z']) where bit b of z is 0 and -2 Im(i^c W'[z'])
-    where it is 1.  Mask 0 has no set bit: its real row pairs on bit 0,
-    f0 = f[0, k] and f1 = f[0, k | 1] packed into h = ((f0 + f1) - i(f0 - f1)) / 2,
-    which the same two formulas unpack.
+    ``rows(x, k)`` gives the block f[x, k] (x a column of X-masks, k the basis
+    indices of each mask, one row shared by all or one row per mask) as a new
+    array, which the kernel may overwrite, and the kernel returns the real
+    values v[x, z] = i^{|z&x|} sum_k (-1)^{z.k} f[x, k].  Each row must be
+    Hermitian under k -> k ^ x, f[x, k ^ x] = conj f[x, k], as the rows of a
+    pure or mixed state are, so only half of it is read.
+    For b the top set bit of x, the half row h[k'] = f[x, k] over the k with
+    bit b clear has the transform W'; with z' = z less bit b and
+    c = |z' & x|, v[x, z] = 2 Re(i^c W'[z']) where bit b of z is 0 and
+    -2 Im(i^c W'[z']) where it is 1.  Mask 0 has no set bit: its real row
+    pairs on bit 0, f0 = f[0, k] and f1 = f[0, k | 1] packed into
+    h = ((f0 + f1) - i(f0 - f1)) / 2, which the same two formulas unpack.
 
-    The masks run in chunks of _CHUNK through one reused buffer: one
-    ``rows`` call and one phase product per block (``_chunk_blocks``), one
-    in-place Walsh-Hadamard transform per chunk.  Only the placement depends
-    on the size: a one-chunk spectrum is conjugated (so the imaginary parts
-    come out negated) and gathered by one ``take``; a wider one is written
-    block by block through ``xz_block``, so no scratch exceeds the buffer.
+    The masks run in chunks of _CHUNK: one ``rows`` call and one phase
+    product per block (``_chunk_blocks``), one in-place Walsh-Hadamard
+    transform per chunk.  A spectrum of up to 8 qubits is one block and is
+    transformed in the array its ``rows`` call returns; a wider one copies
+    its blocks into one buffer that every chunk reuses.  Only the placement
+    depends on the size: a one-chunk spectrum is conjugated (so the
+    imaginary parts come out negated) and gathered by one ``take``; a wider
+    one is written through ``xz_block`` for each run of masks that share
+    their top bit, so no scratch exceeds the buffer.
     """
     dim = 1 << n
     chunk = min(_CHUNK, dim)
-    half = np.empty((chunk, dim >> 1), dtype=complex)
+    first, gather = _first_chunk(n)
+    half = np.empty((chunk, dim >> 1), dtype=complex) if len(first) > 1 else None
     out = None if chunk == dim else np.empty(4**n)
     for start in range(0, dim, chunk):
-        blocks = _chunk_blocks(n, start) if start else _first_chunk(n)
-        for x0, _, xs, k, _ in blocks:
-            if x0:
-                half[x0 - start : x0 - start + len(xs)] = rows(xs, k)
+        blocks = _chunk_blocks(n, start) if start else first
+        for x0, xs, k, c in blocks:
+            f = rows(xs, k)
+            if len(blocks) == 1:  # the chunk is one block: transform its rows in place
+                half = f[:chunk]
             else:
-                f0, f1 = rows(xs, k).real
-                half[0] = ((f0 + f1) - 1j * (f0 - f1)) / 2
+                half[x0 - start : x0 - start + len(c)] = f[: len(c)]
+            if not x0:  # mask 0: f0 = f[0] (even k), f1 = f[-1] (odd k), no view kept
+                half[0] = ((f[0].real + f[-1].real) - 1j * (f[0].real - f[-1].real)) / 2
+            del f  # copied rows are freed before the next block's rows call
         wht(half, out=half)
-        for x0, b, xs, _, c in blocks:
-            block = half[x0 - start : x0 - start + len(xs)]
-            block *= _TWICE_I_POWERS.take(c)
-            if out is not None:
-                target = xz_block(out, n, x0, len(xs))
-                block = block.reshape(target.shape[1:])
-                at_b = (slice(None),) * (target.ndim - 1 - b)  # z bit b comes next
-                target[at_b + (0, ...)] = block.real
-                np.negative(block.imag, out=target[at_b + (1, ...)])
-    if out is None:
-        np.conjugate(half, out=half)
-        return half.view(float).reshape(-1).take(_gather(n))
+        for x0, _, _, c in blocks:
+            half[x0 - start : x0 - start + len(c)] *= _TWICE_I_POWERS.take(c)
+        if out is None:
+            np.conjugate(half, out=half)
+            return half.view(float).reshape(-1).take(gather)
+        # (first mask, mask count, top bit b) of each run; mask 0 pairs on bit 0
+        if start:
+            runs = [(start, chunk, start.bit_length() - 1)]
+        else:
+            runs = [(0, 1, 0)] + [(1 << b, 1 << b, b) for b in range(chunk.bit_length() - 1)]
+        for x0, count, b in runs:
+            target = xz_block(out, n, x0, count)
+            block = half[x0 - start : x0 - start + count].reshape(target.shape[1:])
+            at_b = (slice(None),) * (target.ndim - 1 - b)  # z bit b comes next
+            target[at_b + (0, ...)] = block.real
+            np.negative(block.imag, out=target[at_b + (1, ...)])
     return out
 
 

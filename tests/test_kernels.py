@@ -24,16 +24,20 @@ and the dense matrix sum in other orders, so they agree to a tolerance of
 The Pauli transform reads half of each Hermitian row f[x, k] (the pairs k,
 k ^ x), transforms it and unpacks the real values v[x, z] from the real and
 imaginary parts of the result.  It runs one body for every width: chunks
-of 512 masks, one `rows` call per block of masks that share their top bit
-and one transform per chunk.  Only the placement depends on the width: a
-spectrum of at most 9 qubits is one chunk, gathered into the interleaved
-order by one `take`; a wider one is written block by block through a
-strided view of its output.  The full-row test runs every width up to 10
-qubits for a statevector and up to the density guard for a density
-matrix, so it covers both placements.  The two placements also agree bit
-for bit: a test forces chunks of two masks (one at 1 qubit) on a spectrum
-that would be one chunk, so its blocks, products and per-row transforms
-are the same and only the placement differs.  The reference
+of 512 masks filled in blocks of at most 0.5 MB of half rows (a chunk of
+up to 8 qubits is one block), one `rows` call and one phase product per
+block and one transform per chunk.  Only the placement depends on the
+width: a spectrum of at most 9 qubits is one chunk, gathered into the
+interleaved order by one `take`; a wider one is written through a strided
+view of its output, one run of masks that share their top bit at a time.
+The full-row test runs every width up to 10 qubits for a statevector and
+up to the density guard for a density matrix, so it covers both
+placements.  The two placements also agree bit
+for bit: a test forces chunks of two masks on a spectrum of 2 to 8 qubits
+that would be one chunk, so its rows, elementwise products and per-row
+transforms are the same and only the placement differs (at 1 qubit the
+chunks would hold one mask, whose one-element products numpy rounds its
+own way).  The reference
 (`references.reference_pauli_transform`) transforms every full row,
 multiplies by the phase i^{|z&x|} and scatters through the interleaved
 index of every (z, x); the two sum in other orders, so they agree to 1e-14,
@@ -385,8 +389,12 @@ def test_all_expectations_matches_the_full_row_reference(state):
 
 
 def _placement_inputs():
-    pure = [haar_random_state(n, np.random.default_rng([900, n, s])) for n in range(1, 9) for s in range(3)]
-    return pure + [random_density_matrix(n, np.random.default_rng([901, n, s])) for n in range(1, 7) for s in range(3)]
+    # From 2 qubits: a 1-qubit spectrum takes strided writes only in chunks of
+    # one mask, whose one-element phase products numpy rounds without the
+    # fused multiply-add of its array loop (45% of 1-qubit statevectors then
+    # differ by up to 2^-53).
+    pure = [haar_random_state(n, np.random.default_rng([900, n, s])) for n in range(2, 9) for s in range(3)]
+    return pure + [random_density_matrix(n, np.random.default_rng([901, n, s])) for n in range(2, 7) for s in range(3)]
 
 
 @pytest.mark.parametrize("state", _placement_inputs(), ids=lambda s: f"{s.ndim}d-{s.shape[0]}")
@@ -395,9 +403,9 @@ def test_gather_placement_equals_the_strided_placement(state, monkeypatch):
     rows = _state_rows(state)
     gathered = _pauli_transform(n, rows)
     # Chunks of two masks make the spectrum take the strided placement; the
-    # first chunk is built afresh, so the cached one-chunk blocks stay as they are.
-    monkeypatch.setattr(paulis, "_CHUNK", min(2, 1 << (n - 1)))
-    monkeypatch.setattr(paulis, "_first_chunk", lambda width: paulis._chunk_blocks(width, 0))
+    # first chunk is built afresh, so the cached one-chunk tables stay as they are.
+    monkeypatch.setattr(paulis, "_CHUNK", 2)
+    monkeypatch.setattr(paulis, "_first_chunk", paulis._first_chunk.__wrapped__)
     np.testing.assert_array_equal(_pauli_transform(n, rows), gathered)
 
 
