@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import numbers
 
-STATEVECTOR_QUBIT_GUARD = 12  # statevectors, pure-state Pauli spectra, 2 x N-qubit Bell registers
+STATEVECTOR_QUBIT_GUARD = 12  # statevectors, pure-state Pauli spectra and Bell distributions (4^N outcomes)
 DENSITY_QUBIT_GUARD = 8  # density matrices, their Pauli spectra and mixed Bell sampling
 UNITARY_QUBIT_GUARD = 10  # dense 2^N x 2^N unitaries: 16 MB at the guard
 BELL_MAGIC_QUBIT_GUARD = 8

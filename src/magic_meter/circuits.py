@@ -224,9 +224,16 @@ def apply_gate(gate: Gate, psi: np.ndarray, n: int) -> np.ndarray:
     return np.cos(half) * psi - 1j * np.sin(half) * apply_pauli(axis, psi)
 
 
+def _width(circuit: Circuit) -> int:
+    """The qubit count of a Circuit; anything else is a TypeError naming it."""
+    if not isinstance(circuit, Circuit):
+        raise TypeError(f"circuit must be a Circuit, got {type(circuit).__name__}")
+    return circuit.n_qubits
+
+
 def apply_circuit(circuit: Circuit, psi: np.ndarray | None = None) -> np.ndarray:
     """Run the circuit on the given statevector (default |0...0>)."""
-    n = circuit.n_qubits
+    n = _width(circuit)
     check_capacity(n, STATEVECTOR_QUBIT_GUARD, "qubits in statevector simulation")
     psi = zero_state(n) if psi is None else np.asarray(psi, dtype=complex)
     if psi.shape[0] != 1 << n:
@@ -238,7 +245,7 @@ def apply_circuit(circuit: Circuit, psi: np.ndarray | None = None) -> np.ndarray
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (columns = images of basis states)."""
-    n = circuit.n_qubits
+    n = _width(circuit)
     check_capacity(n, UNITARY_QUBIT_GUARD, "qubits in dense unitaries")
     u = np.eye(1 << n, dtype=complex)
     for gate in circuit.gates:

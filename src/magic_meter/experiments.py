@@ -9,9 +9,10 @@ separate shot standard error for estimated quantities.
 An ExperimentConfig holds the run settings every preset takes (seed,
 threads, output) and, in ``params``, the preset's keys under their config
 file names.  Two tables declare every key: _PRESETS lists each key a preset
-reads with its default, and _LEAST the least value of each integer key.
-run_preset fills in the defaults and checks every key against those two
-tables only; a key the preset does not read is a ConfigError.
+reads with its default, and _LEAST the least value of each integer key but
+the integer grids.  run_preset fills in the defaults and checks the run
+settings and every key in one pass, by one rule read from those two tables
+only (_resolve); a key the preset does not read is a ConfigError.
 
 All presets share one skeleton.  A preset's instance function ``one(i)``
 returns ``(values, tail)``: ``values[sweep, quantity]`` for every grid point
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ._guards import check_integer, finite_real
+from ._guards import STABILIZER_ENUM_GUARD, check_integer, finite_real, is_integer
 from .circuits import (
     Circuit,
     circuit_unitary,
@@ -281,7 +282,8 @@ def _preset_doped_clifford(config: ExperimentConfig) -> list[RecordRow]:
     nq, grid, ns, shots = (config.params[key] for key in ("qubits", "grid", "n", "shots"))
     depth = config.params["clifford_depth"]
     names = [q.format(n=n) for n in ns for q in _DOPED_QUANTITIES]
-    names += ["fstab_exact"] if nq <= 3 else []
+    enumerable = nq <= STABILIZER_ENUM_GUARD  # F_STAB by enumerating the stabilizer states
+    names += ["fstab_exact"] if enumerable else []
 
     def one(i):
         values = []
@@ -289,7 +291,7 @@ def _preset_doped_clifford(config: ExperimentConfig) -> list[RecordRow]:
             rng = _instance_rng(config.seed, si, i)
             psi = doped_clifford_state(nq, n_t, rng, clifford_depth=depth)
             point = [v for n in ns for v in _doped_point(psi, n, shots, rng)]
-            if nq <= 3:
+            if enumerable:
                 point.append(stabilizer_fidelity(psi))
             values.append(point)
         return values, []
@@ -516,22 +518,17 @@ _LEAST = {
 }
 
 
-def _depths(grid, least: int) -> tuple[int, ...]:
-    """The grid as integers of at least ``least``: T-gate counts, or circuit
-    depths, each indexing a prefix list as d - 1."""
-    if not all(float(d).is_integer() and d >= least for d in grid):
-        raise ConfigError(f"grid must be integers of at least {least}, got {list(grid)!r}")
-    return tuple(int(d) for d in grid)
-
-
 def _resolve(config: ExperimentConfig) -> ExperimentConfig:
     """A copy of the config with the seed set and the preset's defaults filled
-    in for keys left out.  Raises ConfigError, naming the key, for a key the
-    preset does not read, a null key whose default is not null, a list for a
-    one-value key, an empty list, an entry of a real-valued key that is no
-    finite real number, or an integer key that is no integer or is below its
-    least value.  A grid whose default holds integers (T-gate counts or
-    depths) takes integers of at least its default's least entry."""
+    in for keys left out.  The run settings and every key pass one rule, and
+    a ConfigError names the key that breaks it: a key the preset does not
+    read, a null key whose default is not null, a list for a one-value key,
+    an empty list, an entry of a numeric key (an integer key or one whose
+    default is a number) that is no finite real number, or an entry of an
+    integer key that is no integer or is below its least value.  An integer
+    key is one in _LEAST, or one whose default holds integers (the T-gate
+    counts and the depths of a grid), which takes its default's least entry
+    as its least value."""
     if config.preset not in _PRESETS:
         raise ConfigError(f"unknown preset {config.preset!r}; known: {', '.join(PRESETS)}")
     keys = _PRESETS[config.preset][1]
@@ -540,31 +537,28 @@ def _resolve(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(
             f"unknown key {bad_keys[0]!r} for preset {config.preset}; its keys: {', '.join(keys)}"
         )
-    params = {**keys, **config.params}
-    for key, default in keys.items():
-        if params[key] is None and default is not None:
+    values = {"seed": 0 if config.seed is None else config.seed, "threads": config.threads, **keys, **config.params}
+    for key, default in {"seed": 0, "threads": 0, **keys}.items():
+        if values[key] is None:
+            if default is None:
+                continue
             raise ConfigError(f"{key} must not be null")
         if isinstance(default, tuple):
-            params[key] = _as_tuple(params[key])
-            if not params[key]:
+            values[key] = _as_tuple(values[key])
+            if not values[key]:
                 raise ConfigError(f"{key} must not be empty")
-        elif isinstance(params[key], _SEQUENCES):
-            raise ConfigError(f"{key} takes one value, got {params[key]!r}")
+        elif isinstance(values[key], _SEQUENCES):
+            raise ConfigError(f"{key} takes one value, got {values[key]!r}")
         defaults = _as_tuple(default)
-        if key not in _LEAST and isinstance(defaults[0], numbers.Real):
-            for entry in _as_tuple(params[key]):
-                if not finite_real(entry):
-                    raise ConfigError(f"{key} must be a finite real number, got {entry!r}")
-            if all(isinstance(d, numbers.Integral) for d in defaults):
-                params[key] = _depths(params[key], min(defaults))
-    resolved = replace(config, seed=0 if config.seed is None else config.seed, params=params)
-    # a null that reaches here is a key whose default is null
-    for key, value in {"seed": resolved.seed, "threads": resolved.threads, **params}.items():
-        if key not in _LEAST or (value is None and key in params):
+        integer = key in _LEAST or all(is_integer(d) for d in defaults)
+        if not (integer or isinstance(defaults[0], numbers.Real)):
             continue
-        for entry in value if isinstance(keys.get(key), tuple) else (value,):
-            check_integer(entry, key, _LEAST[key], ConfigError)
-    return resolved
+        for entry in _as_tuple(values[key]):
+            if integer:
+                check_integer(entry, key, _LEAST.get(key, min(defaults)), ConfigError)
+            if not finite_real(entry):
+                raise ConfigError(f"{key} must be a finite real number, got {entry!r}")
+    return replace(config, seed=values.pop("seed"), threads=values.pop("threads"), params=values)
 
 
 def run_preset(config: ExperimentConfig) -> list[RecordRow]:

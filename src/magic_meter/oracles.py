@@ -92,12 +92,13 @@ def moment_operator(n: int) -> np.ndarray:
     return gamma / 2.0
 
 
-def _basis_probabilities(state: np.ndarray) -> np.ndarray:
-    """|<k|psi>|^2 of a validated statevector; a density matrix is refused."""
+def _basis_probabilities(state: np.ndarray, caller: str) -> np.ndarray:
+    """|<k|psi>|^2 of a validated statevector; a density matrix is refused
+    with a ValueError that names ``caller``."""
     state = np.asarray(state)
     validate_state(state)
     if state.ndim != 1:
-        raise ValueError(f"participation entropy takes a statevector, got shape {state.shape}")
+        raise ValueError(f"{caller} takes a statevector, got shape {state.shape}")
     return np.abs(state) ** 2
 
 
@@ -106,12 +107,12 @@ def participation_entropy(state: np.ndarray, q: float) -> float:
     a statevector; a density matrix is refused."""
     if not (finite_real(q) and q > 0):
         raise ValueError(f"q must be finite and positive, got {q!r}")
-    return float(np.sum(_basis_probabilities(state) ** q))
+    return float(np.sum(_basis_probabilities(state, "participation_entropy") ** q))
 
 
 def flatness(state: np.ndarray) -> float:
     """Multifractal flatness I_3 - I_2^2 of the basis distribution."""
-    probs = _basis_probabilities(state)
+    probs = _basis_probabilities(state, "flatness")
     return float(np.sum(probs**3)) - float(np.sum(probs**2)) ** 2
 
 

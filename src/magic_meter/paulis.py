@@ -278,9 +278,10 @@ def all_expectations(state: np.ndarray) -> np.ndarray:
     size guard, so every spectrum consumer (moments, entropies, mixed Bell
     sampling) refuses an unnormalized, non-finite or non-Hermitian state;
     the rows of what passes are Hermitian, so the values are real by
-    construction.
+    construction.  A state of a real or integer dtype is read as complex128;
+    a complex128 state is not copied.
     """
-    state = np.asarray(state)
+    state = np.asarray(state, dtype=complex)
     n = n_qubits_of(state)
     if state.ndim == 1:
         check_capacity(n, STATEVECTOR_QUBIT_GUARD, "qubits in a pure-state Pauli spectrum")

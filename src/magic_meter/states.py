@@ -98,7 +98,9 @@ def purity(rho: np.ndarray) -> float:
 def choi_state(unitary: np.ndarray) -> np.ndarray:
     """(I tensor U)|Phi> for a dense unitary; a 2N-qubit statevector.
 
-    Amplitude on |i>|j> is U[j, i] / sqrt(2^N).
+    Amplitude on |i>|j> is U[j, i] / sqrt(2^N).  A matrix with
+    max |U^dagger U - I| above STATE_TOL is refused: its vector would not
+    have norm 1.
     """
     u = np.asarray(unitary, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -106,4 +108,7 @@ def choi_state(unitary: np.ndarray) -> np.ndarray:
     n_qubits_of(u)  # validates the dimension
     if not np.all(np.isfinite(u)):
         raise ValueError("unitary has non-finite entries (NaN or infinity)")
+    residual = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    if residual > STATE_TOL:
+        raise ValueError(f"choi_state needs a unitary: |U^dagger U - I| reaches {residual:.3g}")
     return (u.T / np.sqrt(u.shape[0])).reshape(-1)

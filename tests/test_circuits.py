@@ -230,6 +230,19 @@ def test_choi_state_refuses_a_non_square_matrix():
         choi_state(np.eye(4)[:, :2])
 
 
+def test_choi_state_refuses_a_non_unitary_matrix():
+    # unchecked, 2 I gave a "state" of norm 2 that only its consumers refused
+    with pytest.raises(ValueError, match="unitary"):
+        choi_state(2 * np.eye(2))
+
+
+@pytest.mark.parametrize("function", [apply_circuit, circuit_unitary])
+def test_circuit_functions_refuse_what_is_no_circuit(function):
+    # unchecked, a list leaked "'list' object has no attribute 'n_qubits'"
+    with pytest.raises(TypeError, match="circuit must be a Circuit, got list"):
+        function([1])
+
+
 def test_choi_t_gate_moment():
     u = circuit_unitary(Circuit(1, (gate_t(1),)))
     assert pauli_moment(choi_state(u), 2) == pytest.approx(0.75, abs=1e-12)

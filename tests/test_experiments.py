@@ -130,6 +130,14 @@ _BAD_INTEGER_CONFIGS = {
     "negative_tgate_grid": (json.dumps({**_SMALL_DOPED, "grid": [-1]}), "grid"),
     "first_moment_noise": (json.dumps({**_SMALL_NOISE, "n": 1}), "n"),
     "first_moment_doped": (json.dumps({**_SMALL_DOPED, "n": [1]}), "n"),
+    # integral floats in an integer grid once ran as their integers
+    "flat_float_depth_grid": ("preset = scrambling_depth_sweep\nqubits = 2\ngrid = 1.0, 2.0\n", "grid"),
+    "flat_float_circuit_depth_grid": ("preset = random_circuit_depth\nqubits = 2\ngrid = 1.0, 2.0\n", "grid"),
+    "float_tgate_count_grid": (json.dumps({**_SMALL_DOPED, "grid": [0.0]}), "grid"),
+    # integers beyond the float range once resolved in an integer key
+    "huge_instances": (json.dumps({**_SMALL_SWEEP, "instances": 10**400}), "instances"),
+    "huge_shots": (json.dumps({**_SMALL_DOPED, "shots": 10**400}), "shots"),
+    "huge_seed": (json.dumps({**_SMALL_SWEEP, "seed": 10**400}), "seed"),
 }
 
 
@@ -152,6 +160,19 @@ def test_integer_fields_are_checked_not_truncated(capsys, tmp_path, case):
 def test_depth_grid_points_must_be_integers_of_at_least_one(preset, depth):
     with pytest.raises(ConfigError, match="grid"):
         run_preset(ExperimentConfig(preset=preset, params={"qubits": 2, "grid": (depth, 2), "instances": 1}))
+
+
+@pytest.mark.parametrize("preset", ["doped_clifford_sweep", "scrambling_depth_sweep", "random_circuit_depth"])
+def test_a_numpy_integer_grid_runs_as_its_integers(preset):
+    # the grid keeps its numpy integers; each indexes and labels as the int does
+    params = {"qubits": 2, "instances": 2}
+    if preset == "doped_clifford_sweep":
+        params |= {"shots": 10, "haar_samples": 2}
+
+    def csv(grid):
+        return rows_to_csv(run_preset(ExperimentConfig(preset, {**params, "grid": grid}, threads=1)))
+
+    assert csv(np.arange(1, 4)) == csv((1, 2, 3))
 
 
 # one misspelling of a key per preset; the presets without own keys get a

@@ -384,19 +384,29 @@ def test_pauli_moment_refuses_a_non_hermitian_or_non_positive_matrix():
 
 @pytest.mark.parametrize(
     "state, defect",
-    [([2, 0], "norm 2"), ([np.nan, 0], "non-finite"), (np.eye(2) / 2, r"shape \(2, 2\)")],
+    [
+        ([2, 0], "norm 2"),
+        ([np.nan, 0], "non-finite"),
+        (np.eye(2) / 2, r"{name} takes a statevector, got shape \(2, 2\)"),
+    ],
     ids=["unnormalized", "nan", "mixed"],
 )
 @pytest.mark.parametrize(
-    "oracle",
-    [stabilizer_fidelity, d_min, flatness, lambda s: participation_entropy(s, 2)],
+    "oracle, name",
+    [
+        (stabilizer_fidelity, "stabilizer fidelity"),
+        (d_min, "stabilizer fidelity"),
+        (flatness, "flatness"),
+        (lambda s: participation_entropy(s, 2), "participation_entropy"),
+    ],
     ids=["fstab", "d_min", "flatness", "participation"],
 )
-def test_statevector_oracles_refuse_an_invalid_state(oracle, state, defect):
+def test_statevector_oracles_refuse_an_invalid_state(oracle, name, state, defect):
     # unchecked, [2, 0] gave F_STAB = 4.0 and D_min = -1.386; the maximally
     # mixed qubit gave F_STAB 0.25 where max <phi|rho|phi> is 0.5, and the
-    # density matrix of |T> gave I_2 = 0.25 where its statevector gives 0.5
-    with pytest.raises(ValueError, match=defect):
+    # density matrix of |T> gave I_2 = 0.25 where its statevector gives 0.5;
+    # a refused density matrix is refused by the function that was called
+    with pytest.raises(ValueError, match=defect.format(name=name)):
         oracle(np.array(state))
 
 

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from magic_meter._guards import DENSITY_QUBIT_GUARD
 from magic_meter.paulis import (
     all_expectations,
     expectation,
@@ -138,6 +139,32 @@ def test_all_expectations_density_input():
                 np.testing.assert_allclose(
                     all_expectations(rho), _per_string(rho, nq), rtol=0, atol=1e-13
                 )
+
+
+def _real_states(nq: int) -> dict[str, np.ndarray]:
+    """A float64 statevector, an integer basis-state vector and, up to the
+    density guard, a real density matrix of nq qubits."""
+    rng = np.random.default_rng(nq)
+    dim = 1 << nq
+    vector = rng.normal(size=dim)
+    basis = np.zeros(dim, dtype=np.int64)
+    basis[rng.integers(dim)] = 1
+    states = {"float": vector / np.linalg.norm(vector), "integer": basis}
+    if nq <= DENSITY_QUBIT_GUARD:
+        g = rng.normal(size=(dim, dim))
+        rho = g @ g.T
+        states["density"] = rho / np.trace(rho)
+    return states
+
+
+@pytest.mark.parametrize("nq", range(1, 10))
+def test_real_and_integer_states_give_their_complex_copys_spectrum(nq):
+    # up to 8 qubits a one-block chunk was transformed in the array its rows
+    # call returned, so a real state raised a complex -> float64 cast error and
+    # an integer one a kron_products dtype error
+    for kind, state in _real_states(nq).items():
+        spectrum = all_expectations(state)
+        assert np.array_equal(spectrum, all_expectations(state.astype(complex))), kind
 
 
 def test_spectrum_zero_state():
