@@ -3,10 +3,11 @@
 Subcommands: exact, estimate, gradient, bounds, experiment, budget.
 Exit codes: 0 success, 2 parse error (arguments or circuit file), 3 invalid
 input (a bad value, config, size guard or missing input file), 4 I/O error.
-The --seed option (default: MAGIC_METER_SEED env var, then 0) makes every
-command but `budget`, which draws nothing, bit-reproducible; for `experiment`
-the config's `seed` ranks between --seed and the env var.  Only exact, budget
-and experiment take --format; the others always print JSON.
+The seed (``_seed``: --seed, then an experiment config's `seed`, then the
+MAGIC_METER_SEED env var, then 0) makes every command but `budget`, which
+draws nothing, bit-reproducible; `estimate` and `gradient` print it as the
+last key of their JSON.  Only exact, budget and experiment take --format; the
+others always print JSON.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -50,9 +52,22 @@ EXIT_SEMANTIC = 3
 EXIT_IO = 4
 
 
-def _default_seed() -> int:
-    env = os.environ.get("MAGIC_METER_SEED")
-    return int(env) if env else 0
+def _seed(args, config_seed: int | None = None) -> int:
+    """--seed, else an experiment config's seed (``run_preset`` checks it),
+    else MAGIC_METER_SEED, else 0.  A flag or variable that is no integer of
+    at least 0 is a ValueError that names it; the variable is read only here."""
+    if args.seed is not None:
+        value, name = args.seed, "--seed"
+    elif config_seed is not None:
+        return config_seed
+    else:
+        value, name = os.environ.get("MAGIC_METER_SEED") or "0", "MAGIC_METER_SEED"
+        try:
+            value = int(value)
+        except ValueError:
+            pass  # refused below with the text as given
+    check_integer(value, name, 0)
+    return value
 
 
 def _load_circuit(path: str):
@@ -79,7 +94,7 @@ def _resolve_state(args) -> np.ndarray:
         raise ValueError(f"unknown named state {name!r} (use {', '.join(_STATES)})")
     qubits = 1 if args.qubits is None else args.qubits
     check_integer(qubits, "--qubits", 1)
-    return _STATES[name](qubits, args.seed)
+    return _STATES[name](qubits, _seed(args))
 
 
 def _print_values(values, args) -> None:
@@ -123,13 +138,11 @@ _MEASURES = {
 
 # estimate --algorithm name -> its result from (state, arguments, generator)
 _ALGORITHMS = {
-    "alg1": lambda psi, a, rng: estimate_moment_bell(
-        psi, a.n, a.shots, rng, allow_even=a.allow_even, seed=a.seed
-    ),
-    "alg2": lambda psi, a, rng: estimate_moment_conjugate(psi, a.n, a.shots, rng, seed=a.seed),
-    "bellmagic": lambda psi, a, rng: estimate_bell_magic(psi, a.shots, rng, seed=a.seed),
-    "participation": lambda psi, a, rng: estimate_participation(psi, a.q, a.shots, rng, seed=a.seed),
-    "purity": lambda psi, a, rng: estimate_purity(psi, a.shots, rng, seed=a.seed),
+    "alg1": lambda psi, a, rng: estimate_moment_bell(psi, a.n, a.shots, rng, allow_even=a.allow_even),
+    "alg2": lambda psi, a, rng: estimate_moment_conjugate(psi, a.n, a.shots, rng),
+    "bellmagic": lambda psi, a, rng: estimate_bell_magic(psi, a.shots, rng),
+    "participation": lambda psi, a, rng: estimate_participation(psi, a.q, a.shots, rng),
+    "purity": lambda psi, a, rng: estimate_purity(psi, a.shots, rng),
 }
 
 
@@ -139,19 +152,19 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    psi = _resolve_state(args)
-    res = _ALGORITHMS[args.algorithm](psi, args, np.random.default_rng(args.seed))
-    _emit(res.to_json(), args.output)
+    seed = _seed(args)
+    res = _ALGORITHMS[args.algorithm](_resolve_state(args), args, np.random.default_rng(seed))
+    _emit(json.dumps({**asdict(res), "seed": seed}), args.output)  # the seed is the last key
     return EXIT_OK
 
 
 def _cmd_gradient(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    seed = _seed(args)
     res = estimate_moment_gradient(
-        _load_circuit(args.circuit), args.param_index, args.n, args.shots, rng,
-        allow_even=args.allow_even, seed=args.seed,
+        _load_circuit(args.circuit), args.param_index, args.n, args.shots, np.random.default_rng(seed),
+        allow_even=args.allow_even,
     )
-    _emit(res.to_json(), args.output)
+    _emit(json.dumps({**asdict(res), "seed": seed}), args.output)
     return EXIT_OK
 
 
@@ -167,10 +180,7 @@ def _cmd_experiment(args) -> int:
         config = load_config(args.config)
     except FileNotFoundError as exc:
         raise ValueError(str(exc)) from exc
-    if args.seed is not None:
-        config.seed = args.seed
-    elif config.seed is None:
-        config.seed = _default_seed()
+    config.seed = _seed(args, config.seed)
     if args.threads is not None:
         config.threads = args.threads
     rows = run_preset(config)
@@ -304,9 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # an experiment config's own seed ranks between --seed and the env var
-    if getattr(args, "seed", 0) is None and args.fn is not _cmd_experiment:
-        args.seed = _default_seed()
     try:
         return args.fn(args)
     except CircuitParseError as exc:

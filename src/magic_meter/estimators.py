@@ -5,6 +5,8 @@ Bell-basis measurements on two copies, single-copy Pauli eigenbasis
 measurements, and computational-basis samples.  Two copies a, b of an N-qubit
 register are interleaved as (a_1, b_1, a_2, b_2, ...) so that a measured
 2N-bit outcome is directly the interleaved index of a Pauli string.
+Every estimator takes its randomness only through ``rng`` (anything
+``np.random.default_rng`` accepts); a result records no seed.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from ._bits import (
 from ._guards import STATEVECTOR_QUBIT_GUARD, check_capacity, check_integer, finite_real, is_integer
 from .circuits import Circuit, apply_circuit
 from .paulis import PauliString, all_expectations, expectation
-from .states import n_qubits_of, validate_state
+from .states import n_qubits_of, read_statevector, validate_state
 
 def _pure_bell_distribution(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """|U_Bell^{tensor N} (a tensor b)|^2 for two N-qubit statevectors, in
@@ -169,13 +171,12 @@ class EstimatorResult:
     copies_consumed: int
     algorithm: str = ""
     n: int | None = None
-    seed: int | None = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
 
-def _result_from_samples(per_rep: np.ndarray, copies: int, algorithm: str, n, seed) -> EstimatorResult:
+def _result_from_samples(per_rep: np.ndarray, copies: int, algorithm: str, n) -> EstimatorResult:
     reps = per_rep.shape[0]
     se = float(np.std(per_rep, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     return EstimatorResult(
@@ -185,7 +186,6 @@ def _result_from_samples(per_rep: np.ndarray, copies: int, algorithm: str, n, se
         copies_consumed=copies,
         algorithm=algorithm,
         n=None if n is None else int(n),
-        seed=seed,
     )
 
 
@@ -216,7 +216,6 @@ def estimate_moment_bell(
     repetitions: int,
     rng,
     allow_even: bool = False,
-    seed: int | None = None,
 ) -> EstimatorResult:
     """Pauli-moment estimator from Bell measurements on copy pairs (no
     conjugate needed; efficient for odd n, n = 1 estimates purity).
@@ -233,21 +232,17 @@ def estimate_moment_bell(
     outcomes = sample_bell(dist, (repetitions, n), rng)
     xors = np.bitwise_xor.reduce(outcomes, axis=1)
     per_rep = _parity_values(xors, n, nq)
-    return _result_from_samples(per_rep, 2 * n * repetitions, "bell_parity", n, seed)
+    return _result_from_samples(per_rep, 2 * n * repetitions, "bell_parity", n)
 
 
-def estimate_moment_conjugate(
-    state: np.ndarray, n: int, repetitions: int, rng, seed: int | None = None
-) -> EstimatorResult:
+def estimate_moment_conjugate(state: np.ndarray, n: int, repetitions: int, rng) -> EstimatorResult:
     """Pauli-moment estimator that Bell-samples (psi*, psi) to draw Pauli
     strings from the spectrum, then multiplies 2n-2 single-copy eigenbasis
     measurement outcomes of the sampled string.  Unbiased for any integer
     n >= 2."""
     check_integer(n, "n", 2)
     check_integer(repetitions, "repetitions", 1)
-    state = np.asarray(state, dtype=complex)
-    if state.ndim != 1:
-        raise ValueError("needs a pure state (the simulator builds psi*)")
+    state = read_statevector(state, "estimate_moment_conjugate")  # the simulator builds psi*
     rng = np.random.default_rng(rng)
     nq = n_qubits_of(state)
     dist = bell_distribution(state.conj(), state)
@@ -261,12 +256,12 @@ def estimate_moment_conjugate(
     draws = rng.uniform(size=(repetitions, 2 * n - 2)) < p_plus[:, None]
     lam = np.where(draws, 1.0, -1.0)
     per_rep = np.prod(lam, axis=1)
-    return _result_from_samples(per_rep, 2 * n * repetitions, "conjugate_sampling", n, seed)
+    return _result_from_samples(per_rep, 2 * n * repetitions, "conjugate_sampling", n)
 
 
-def estimate_purity(state: np.ndarray, repetitions: int, rng, seed: int | None = None) -> EstimatorResult:
+def estimate_purity(state: np.ndarray, repetitions: int, rng) -> EstimatorResult:
     """Destructive-SWAP-test purity: the n = 1 case of the Bell estimator."""
-    return replace(estimate_moment_bell(state, 1, repetitions, rng, seed=seed), algorithm="purity")
+    return replace(estimate_moment_bell(state, 1, repetitions, rng), algorithm="purity")
 
 
 # -- gradients ----------------------------------------------------------------
@@ -290,7 +285,6 @@ def estimate_moment_gradient(
     repetitions: int,
     rng,
     allow_even: bool = False,
-    seed: int | None = None,
 ) -> EstimatorResult:
     """Shift-rule gradient of the n-th Pauli moment with respect to the k-th
     rotation angle.
@@ -309,10 +303,10 @@ def estimate_moment_gradient(
         xors = sample_bell(mixed_dist, repetitions, rng)
         if n > 1:
             xors = xors ^ np.bitwise_xor.reduce(sample_bell(base_dist, (repetitions, n - 1), rng), axis=1)
-        sides.append(_result_from_samples(_parity_values(xors, n, circuit.n_qubits), 0, "", n, seed))
+        sides.append(_result_from_samples(_parity_values(xors, n, circuit.n_qubits), 0, "", n))
     value = n * (sides[0].value - sides[1].value)
     se = n * math.hypot(sides[0].std_error, sides[1].std_error)
-    return EstimatorResult(value, se, repetitions, 4 * n * repetitions, "gradient_shift", n, seed)
+    return EstimatorResult(value, se, repetitions, 4 * n * repetitions, "gradient_shift", n)
 
 
 def expected_parity_value(dists: list[np.ndarray], n: int, n_qubits: int) -> float:
@@ -334,27 +328,22 @@ def exact_moment_gradient(circuit: Circuit, k: int, n: int) -> float:
 
 # -- further estimators ---------------------------------------------------------
 
-def estimate_participation(
-    state: np.ndarray, q: int, shots: int, rng, seed: int | None = None
-) -> EstimatorResult:
+def estimate_participation(state: np.ndarray, q: int, shots: int, rng) -> EstimatorResult:
     """Participation entropy I_q from computational-basis samples of a
     statevector (a density matrix is refused): disjoint groups of q shots
     score 1 when all q bitstrings coincide."""
     check_integer(q, "q", 2)
     check_integer(shots, "shots", q)
     rng = np.random.default_rng(rng)
-    psi = np.asarray(state, dtype=complex)
-    validate_state(psi)
-    if psi.ndim != 1:
-        raise ValueError(f"participation sampling takes a statevector, got shape {psi.shape}")
+    psi = read_statevector(state, "estimate_participation")
     probs = np.abs(psi) ** 2
     groups = shots // q
     draws = _draw_categorical(probs, float(probs.sum()), (groups, q), rng)
     hits = np.all(draws == draws[:, :1], axis=1).astype(float)
-    return _result_from_samples(hits, groups * q, "participation", q, seed)
+    return _result_from_samples(hits, groups * q, "participation", q)
 
 
-def estimate_flatness(state: np.ndarray, shots: int, rng, seed: int | None = None) -> EstimatorResult:
+def estimate_flatness(state: np.ndarray, shots: int, rng) -> EstimatorResult:
     """Multifractal flatness I_3 - I_2^2 from two participation estimators on
     split shot budgets, with the delta-method standard error.  The whole
     budget is checked: at least 6 shots, so that the I_3 half holds a group."""
@@ -364,15 +353,11 @@ def estimate_flatness(state: np.ndarray, shots: int, rng, seed: int | None = Non
     i2 = estimate_participation(state, 2, shots - shots // 2, rng)
     value = i3.value - i2.value**2
     se = math.hypot(i3.std_error, 2.0 * i2.value * i2.std_error)
-    return EstimatorResult(
-        float(value), float(se), i3.shots + i2.shots,
-        i3.copies_consumed + i2.copies_consumed, "flatness", None, seed,
-    )
+    copies = i3.copies_consumed + i2.copies_consumed
+    return EstimatorResult(float(value), float(se), i3.shots + i2.shots, copies, "flatness")
 
 
-def estimate_bell_magic(
-    state: np.ndarray, repetitions: int, rng, seed: int | None = None
-) -> EstimatorResult:
+def estimate_bell_magic(state: np.ndarray, repetitions: int, rng) -> EstimatorResult:
     """Bell-magic estimator: each repetition draws two Bell-difference
     outcomes (two Bell samples each) and scores 2 when the corresponding Pauli
     strings anticommute."""
@@ -387,7 +372,7 @@ def estimate_bell_magic(
     pair_mask = spread_bits((1 << nq) - 1, nq)
     anti = (popcount((q1 >> 1) & q2 & pair_mask) + popcount(q1 & (q2 >> 1) & pair_mask)) % 2
     per_rep = 2.0 * anti
-    return _result_from_samples(per_rep, 8 * repetitions, "bell_magic", None, seed)
+    return _result_from_samples(per_rep, 8 * repetitions, "bell_magic", None)
 
 
 def hoeffding_budget(epsilon: float, delta: float, delta_omega: float) -> int:

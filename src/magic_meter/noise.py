@@ -181,10 +181,10 @@ def relative_error_study(
         for p in p_values:
             model = NoiseModel(model_kind, float(p))
             rho = noisy_circuit_state(circuit, model)
-            impurity = 1.0 - purity(rho)
+            rho_purity = purity(rho)
             moment_noisy = pauli_moment(rho, n)
             m_unmtg = float(np.log(moment_noisy) / (1 - n))
-            p_hat = estimate_p_from_purity(purity(rho), nq)
+            p_hat = estimate_p_from_purity(rho_purity, nq)
             m_mtg = mitigate_renyi(moment_noisy, p_hat, n, nq)
             err_u = abs(m_unmtg - m_pure)
             err_m = np.inf if m_mtg is None else abs(m_mtg - m_pure)
@@ -196,7 +196,7 @@ def relative_error_study(
                     n_qubits=nq,
                     n=n,
                     instance=inst,
-                    impurity=float(impurity),
+                    impurity=1.0 - rho_purity,
                     err_unmitigated=float(err_u),
                     err_mitigated=float(err_m),
                     ratio=ratio,

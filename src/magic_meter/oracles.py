@@ -20,7 +20,7 @@ from ._guards import check_integer, finite_real
 from .circuits import Circuit, apply_gate, circuit_unitary, gate_cnot, gate_h, gate_s, orbit
 from .estimators import bell_distribution
 from .paulis import PauliString, all_expectations, apply_pauli, pauli_from_index
-from .states import choi_state, n_qubits_of, validate_state, zero_state
+from .states import choi_state, n_qubits_of, read_statevector, zero_state
 
 
 def pauli_moment(state: np.ndarray, n) -> float:
@@ -92,27 +92,17 @@ def moment_operator(n: int) -> np.ndarray:
     return gamma / 2.0
 
 
-def _basis_probabilities(state: np.ndarray, caller: str) -> np.ndarray:
-    """|<k|psi>|^2 of a validated statevector; a density matrix is refused
-    with a ValueError that names ``caller``."""
-    state = np.asarray(state)
-    validate_state(state)
-    if state.ndim != 1:
-        raise ValueError(f"{caller} takes a statevector, got shape {state.shape}")
-    return np.abs(state) ** 2
-
-
 def participation_entropy(state: np.ndarray, q: float) -> float:
     """I_q = sum_k |<k|psi>|^{2q} of the computational-basis distribution of
     a statevector; a density matrix is refused."""
     if not (finite_real(q) and q > 0):
         raise ValueError(f"q must be finite and positive, got {q!r}")
-    return float(np.sum(_basis_probabilities(state, "participation_entropy") ** q))
+    return float(np.sum((np.abs(read_statevector(state, "participation_entropy")) ** 2) ** q))
 
 
 def flatness(state: np.ndarray) -> float:
     """Multifractal flatness I_3 - I_2^2 of the basis distribution."""
-    probs = _basis_probabilities(state, "flatness")
+    probs = np.abs(read_statevector(state, "flatness")) ** 2
     return float(np.sum(probs**3)) - float(np.sum(probs**2)) ** 2
 
 
@@ -173,10 +163,7 @@ def enumerate_stabilizer_states(n_qubits: int) -> np.ndarray:
 def stabilizer_fidelity(state: np.ndarray) -> float:
     """max_phi |<psi|phi>|^2 over all pure stabilizer states (N <= 3) of a
     statevector; a density matrix is refused."""
-    state = np.asarray(state, dtype=complex)
-    validate_state(state)
-    if state.ndim != 1:
-        raise ValueError(f"stabilizer fidelity takes a statevector, got shape {state.shape}")
+    state = read_statevector(state, "stabilizer_fidelity")
     table = enumerate_stabilizer_states(n_qubits_of(state))
     return float(np.max(np.abs(table.conj() @ state) ** 2))
 

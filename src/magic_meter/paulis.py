@@ -14,7 +14,7 @@ import numpy as np
 
 from ._bits import BLOCK_BYTES, deinterleave_index, interleave_zx, popcount, wht, xz_block
 from ._guards import DENSITY_QUBIT_GUARD, STATEVECTOR_QUBIT_GUARD, UNITARY_QUBIT_GUARD, check_capacity, check_integer, is_integer
-from .states import n_qubits_of, validate_state
+from .states import n_qubits_of, read_statevector, validate_state
 
 _CHAR_TO_PAIR = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _PAIR_TO_CHAR = {v: k for k, v in _CHAR_TO_PAIR.items()}
@@ -227,11 +227,14 @@ def _pauli_transform(n: int, rows) -> np.ndarray:
     product per block (``_chunk_blocks``), one in-place Walsh-Hadamard
     transform per chunk.  A spectrum of up to 8 qubits is one block and is
     transformed in the array its ``rows`` call returns; a wider one copies
-    its blocks into one buffer that every chunk reuses.  Only the placement
-    depends on the size: a one-chunk spectrum is conjugated (so the
-    imaginary parts come out negated) and gathered by one ``take``; a wider
-    one is written through ``xz_block`` for each run of masks that share
-    their top bit, so no scratch exceeds the buffer.
+    its blocks into one buffer that every chunk reuses.  Copied into that
+    buffer, an 8-qubit spectrum took 1.35-1.40 ms against 0.88-0.91 ms in
+    place, with the same bits (one BLAS thread, best of 9, 3 alternating
+    process pairs); at 4 and 6 qubits the two differ by less than 10%.
+    Only the placement depends on the size: a one-chunk spectrum is
+    conjugated (so the imaginary parts come out negated) and gathered by
+    one ``take``; a wider one is written through ``xz_block`` for each run
+    of masks that share their top bit, so no scratch exceeds the buffer.
     """
     dim = 1 << n
     chunk = min(_CHUNK, dim)
@@ -331,9 +334,7 @@ class PauliSpectrum:
 
 def pauli_spectrum(state: np.ndarray) -> PauliSpectrum:
     """Full distribution Xi over the 4^N Pauli strings of a pure state."""
-    state = np.asarray(state)
-    if state.ndim != 1:
-        raise ValueError(f"pauli_spectrum expects a pure statevector, got shape {state.shape}")
+    state = read_statevector(state, "pauli_spectrum")
     n = n_qubits_of(state)
     values = all_expectations(state)
     return PauliSpectrum(values**2 / 2**n, n)

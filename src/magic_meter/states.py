@@ -50,6 +50,17 @@ def validate_state(state) -> None:
             raise ValueError(f"density matrix is not positive: it has eigenvalue {least:.12g}")
 
 
+def read_statevector(state, caller: str) -> np.ndarray:
+    """``state`` as a complex128 statevector (complex input is not copied),
+    checked by ``validate_state``; a density matrix is refused with a
+    ``ValueError`` that names ``caller``."""
+    state = np.asarray(state, dtype=complex)
+    validate_state(state)
+    if state.ndim != 1:
+        raise ValueError(f"{caller} takes a statevector, got shape {state.shape}")
+    return state
+
+
 def zero_state(n_qubits: int) -> np.ndarray:
     check_integer(n_qubits, "n_qubits", 1)
     psi = np.zeros(1 << n_qubits, dtype=complex)

@@ -350,17 +350,17 @@ def test_criterion_12_determinism():
     psi = t_state(2)
     pairs = []
     for make in (
-        lambda s: estimate_moment_bell(psi, 3, 300, np.random.default_rng(s), seed=s),
-        lambda s: estimate_moment_conjugate(psi, 2, 300, np.random.default_rng(s), seed=s),
-        lambda s: estimate_bell_magic(psi, 300, np.random.default_rng(s), seed=s),
-        lambda s: estimate_participation(psi, 2, 300, np.random.default_rng(s), seed=s),
+        lambda s: estimate_moment_bell(psi, 3, 300, np.random.default_rng(s)),
+        lambda s: estimate_moment_conjugate(psi, 2, 300, np.random.default_rng(s)),
+        lambda s: estimate_bell_magic(psi, 300, np.random.default_rng(s)),
+        lambda s: estimate_participation(psi, 2, 300, np.random.default_rng(s)),
     ):
         pairs.append((make(9).to_json(), make(9).to_json()))
     grad = Circuit(1, (gate_h(1), gate_rz(1, 0.3)))
     pairs.append(
         (
-            estimate_moment_gradient(grad, 0, 3, 100, np.random.default_rng(9), seed=9).to_json(),
-            estimate_moment_gradient(grad, 0, 3, 100, np.random.default_rng(9), seed=9).to_json(),
+            estimate_moment_gradient(grad, 0, 3, 100, np.random.default_rng(9)).to_json(),
+            estimate_moment_gradient(grad, 0, 3, 100, np.random.default_rng(9)).to_json(),
         )
     )
     for a, b in pairs:

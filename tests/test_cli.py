@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -205,12 +206,14 @@ def test_a_non_finite_or_out_of_range_real_option_exits_three_naming_it(argv):
         (("budget", "--n", HUGE_N), [f"n={HUGE_N}"]),
         (("budget", "--n", HUGE_N, "--renyi-target", "0"), [f"a float holds, got {HUGE_N}"]),
         (("budget", "--n", "1" + "0" * 40, "--epsilon", "1e-140"), ["n=1" + "0" * 40]),
+        (("estimate", "--state", "t", "--algorithm", "alg1", "--n", "3", "--seed", "-1"), ["--seed"]),
     ],
 )
 def test_a_bad_moment_index_or_derived_precision_exits_three_naming_its_inputs(argv, named, tmp_path):
     # the otoc and --n cases once printed 1, inf, copies 0 and copies -17712
     # with exit 0; the Renyi cases named only a derived epsilon; an --n or a
-    # copy count beyond the float range ended in an OverflowError traceback
+    # copy count beyond the float range ended in an OverflowError traceback;
+    # --seed -1 got numpy's "expected non-negative integer"
     if argv[0] == "exact":
         path = tmp_path / "bell.txt"
         path.write_text("qubits 2\nH 1\nCNOT 1 2\n")
@@ -300,6 +303,8 @@ def test_experiment_seed_precedence(capsys, tmp_path, monkeypatch):
     assert from_config != csv_bytes(base, "--seed", "0")
     assert csv_bytes(base + "seed = 5\n", "--seed", "0") == csv_bytes(base, "--seed", "0")
     assert csv_bytes(base) == csv_bytes(base, "--seed", "77")
+    monkeypatch.setenv("MAGIC_METER_SEED", "abc")  # a config's own seed never reads the variable
+    assert csv_bytes(base + "seed = 5\n") == from_config
 
 
 def test_experiment_json_format(capsys, tmp_path):
@@ -375,9 +380,15 @@ def test_options_a_command_does_not_read_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
-def test_env_seed_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("MAGIC_METER_SEED", "77")
+@pytest.mark.parametrize("value, code", [("77", 0), ("abc", 3), ("-3", 3), ("1.5", 3)])
+def test_env_seed_fallback(value, code):
+    # abc and 1.5 once ended in a ValueError traceback with exit code 1, -3 in
+    # numpy's "expected non-negative integer"
     args = ("estimate", "--state", "t", "--algorithm", "alg2", "--n", "2", "--shots", "200")
-    _, out1, _ = run_cli(capsys, *args)
-    doc = json.loads(out1)
-    assert doc["seed"] == 77
+    env = {**os.environ, "MAGIC_METER_SEED": value}
+    proc = subprocess.run([sys.executable, "-m", "magic_meter.cli", *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    if code:
+        assert proc.stdout == "" and "MAGIC_METER_SEED" in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["seed"] == 77

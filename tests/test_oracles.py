@@ -10,7 +10,7 @@ from magic_meter.circuits import (
     random_clifford_circuit,
     random_rotation_circuit,
 )
-from magic_meter.estimators import bell_distribution
+from magic_meter.estimators import bell_distribution, estimate_moment_conjugate, estimate_participation
 from magic_meter.oracles import (
     bell_magic,
     bounds_from_moment,
@@ -29,7 +29,7 @@ from magic_meter.oracles import (
     tsallis_stabilizer_entropy,
     von_neumann_stabilizer_entropy,
 )
-from magic_meter.paulis import expectation, pauli_from_index, pauli_from_string
+from magic_meter.paulis import expectation, pauli_from_index, pauli_from_string, pauli_spectrum
 from magic_meter.states import choi_state, haar_random_state, n_qubits_of, t_state, zero_state
 from references import commutes
 
@@ -394,18 +394,22 @@ def test_pauli_moment_refuses_a_non_hermitian_or_non_positive_matrix():
 @pytest.mark.parametrize(
     "oracle, name",
     [
-        (stabilizer_fidelity, "stabilizer fidelity"),
-        (d_min, "stabilizer fidelity"),
+        (stabilizer_fidelity, "stabilizer_fidelity"),
+        (d_min, "stabilizer_fidelity"),
         (flatness, "flatness"),
         (lambda s: participation_entropy(s, 2), "participation_entropy"),
+        (pauli_spectrum, "pauli_spectrum"),
+        (lambda s: estimate_moment_conjugate(s, 2, 10, 0), "estimate_moment_conjugate"),
+        (lambda s: estimate_participation(s, 2, 10, 0), "estimate_participation"),
     ],
-    ids=["fstab", "d_min", "flatness", "participation"],
+    ids=["fstab", "d_min", "flatness", "participation", "pauli_spectrum", "conjugate_estimate", "participation_estimate"],
 )
 def test_statevector_oracles_refuse_an_invalid_state(oracle, name, state, defect):
     # unchecked, [2, 0] gave F_STAB = 4.0 and D_min = -1.386; the maximally
     # mixed qubit gave F_STAB 0.25 where max <phi|rho|phi> is 0.5, and the
     # density matrix of |T> gave I_2 = 0.25 where its statevector gives 0.5;
     # a refused density matrix is refused by the function that was called
+    # (d_min by stabilizer_fidelity), in one message for all of them
     with pytest.raises(ValueError, match=defect.format(name=name)):
         oracle(np.array(state))
 
